@@ -2,13 +2,9 @@ package main
 
 import (
 	"bufio"
-	"crypto/sha256"
 	"fmt"
-	"io"
-	"io/fs"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -17,16 +13,15 @@ import (
 )
 
 // hostStamp names what the numbers were measured on: GOMAXPROCS, CPU
-// count and model, Go version, and the code — the commit when run.sh could
-// read one, and always a digest of the repository's Go sources, which
-// identifies the code in checkouts that are not git repositories.
+// count and model, Go version, and the commit run.sh passes in
+// (PERFBENCH_COMMIT; "unknown" outside a git work tree).
 func hostStamp() string {
 	commit := os.Getenv("PERFBENCH_COMMIT")
 	if commit == "" {
 		commit = "unknown"
 	}
-	return fmt.Sprintf("host GOMAXPROCS=%d nproc=%d cpu=%q go=%s commit=%s source=%s",
-		runtime.GOMAXPROCS(0), runtime.NumCPU(), cpuModel(), runtime.Version(), commit, sourceDigest("."))
+	return fmt.Sprintf("host GOMAXPROCS=%d nproc=%d cpu=%q go=%s commit=%s",
+		runtime.GOMAXPROCS(0), runtime.NumCPU(), cpuModel(), runtime.Version(), commit)
 }
 
 func cpuModel() string {
@@ -42,39 +37,6 @@ func cpuModel() string {
 		}
 	}
 	return "unknown"
-}
-
-// sourceDigest hashes every .go file and go.mod under root (paths and
-// contents, in walk order), skipping hidden directories such as the
-// build directory.
-func sourceDigest(root string) string {
-	h := sha256.New()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != root && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") && d.Name() != "go.mod" {
-			return nil
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		fmt.Fprintf(h, "%s\x00", path)
-		_, err = io.Copy(h, f)
-		return err
-	})
-	if err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("sha256:%x", h.Sum(nil)[:8])
 }
 
 // resetPeakRSS lowers the process's resident-set high-water mark (VmHWM)

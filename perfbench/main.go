@@ -24,6 +24,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"os/exec"
 	"strconv"
 	"strings"
 	"time"
@@ -36,10 +37,11 @@ import (
 // package, which together take well under a millisecond.
 var processStart = time.Now()
 
-// setupAttempts is how many times set-up (scenario generation plus one
-// untimed warm-up pass) runs before measuring; setup_s reports the median
-// attempt, so one slow attempt does not move it.
-const setupAttempts = 3
+// coldSetups is how many cold set-ups a run times: this process's own and,
+// in fresh child processes of the same binary, coldSetups-1 more. setup_s
+// is their median. Each attempt starts from a new process, so work that a
+// change hoists into process-level state is paid in every attempt.
+const coldSetups = 3
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -52,6 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "workload seed (the sweep's BaseSeed)")
 	seconds := fs.Float64("seconds", 10, "measurement window in seconds")
 	trace := fs.Int("trace", 0, "0: end-to-end metrics from an untraced run; 1: per-layer metrics from a traced run")
+	setupOnly := fs.Bool("setup-only", false, "run set-up once, print its seconds and exit (the cold set-up attempts of a run)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -60,14 +63,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "perfbench: need --workload (%s), --seconds > 0 and --trace 0|1\n", workloadNames())
 		return 2
 	}
-	fmt.Fprintln(stdout, hostStamp())
-	fmt.Fprintf(stdout, "workload %s seed %d seconds %g trace %d\n", w.name, *seed, *seconds, *trace)
+	if *setupOnly {
+		d, _, err := setUp(w, *seed)
+		if err != nil {
+			fmt.Fprintf(stderr, "perfbench: set-up: %v\n", err)
+			return 1
+		}
+		fmt.Fprintln(stdout, strconv.FormatFloat(d.Seconds(), 'g', -1, 64))
+		return 0
+	}
 
 	b, err := newBench(w, *seed)
 	if err != nil {
 		fmt.Fprintf(stderr, "perfbench: set-up: %v\n", err)
 		return 1
 	}
+	fmt.Fprintln(stdout, hostStamp())
+	fmt.Fprintf(stdout, "workload %s seed %d seconds %g trace %d\n", w.name, *seed, *seconds, *trace)
+	b.note("cold set-ups %s", formatWalls(b.setups))
 	window := time.Duration(*seconds * float64(time.Second))
 	var res result
 	if *trace == 0 {
@@ -135,6 +148,8 @@ type bench struct {
 	// size is each scenario's realised node count, Runner.Size().
 	size map[string]int
 
+	// setups are the cold set-up attempts; setup is their median.
+	setups            []time.Duration
 	setup             time.Duration
 	attempted, failed int
 	ok                bool
@@ -154,37 +169,60 @@ type pass struct {
 	peakRSS float64
 }
 
+// newBench sets the workload up cold in this process and in fresh child
+// processes, then prepares the checks. setup_s stops at the end of the
+// warm-up pass: the checks, the other attempts and the realised-size pass
+// are the benchmark's own work and stay off its clock.
 func newBench(w workload, seed int64) (*bench, error) {
-	b := &bench{w: w, seed: seed, ok: true}
-	var attempts []time.Duration
-	for k := 0; k < setupAttempts; k++ {
-		t := time.Now()
-		p, err := runPass(w, seed)
-		if err != nil {
-			return nil, err
-		}
-		attempts = append(attempts, time.Since(t))
-		if k == 0 {
-			if err := b.adoptReference(p); err != nil {
-				return nil, err
-			}
-		}
-		b.checkPass(p)
-	}
-	sizes, err := realisedSizes(w.matrix(seed).Expand())
+	own, p, err := setUp(w, seed)
 	if err != nil {
 		return nil, err
 	}
-	b.size = sizes
-	var spent time.Duration
-	for _, a := range attempts {
-		spent += a
+	b := &bench{w: w, seed: seed, ok: true, setups: []time.Duration{own}}
+	if err := b.adoptReference(p); err != nil {
+		return nil, err
 	}
-	// setup_s counts one attempt, as a plain start-up would: everything
-	// from process start to the first timed pass, with the attempts
-	// replaced by their median.
-	b.setup = time.Since(processStart) - spent + medianDuration(attempts)
+	b.checkPass(p)
+	for len(b.setups) < coldSetups {
+		d, err := coldSetUp(w, seed)
+		if err != nil {
+			return nil, err
+		}
+		b.setups = append(b.setups, d)
+	}
+	b.setup = medianDuration(b.setups)
+	if b.size, err = realisedSizes(w.matrix(seed).Expand()); err != nil {
+		return nil, err
+	}
 	return b, nil
+}
+
+// setUp is the set-up a user of the program waits for: process start,
+// scenario generation and one untimed warm-up pass. It returns the time
+// since process start and the pass.
+func setUp(w workload, seed int64) (time.Duration, pass, error) {
+	p, err := runPass(w, seed)
+	return time.Since(processStart), p, err
+}
+
+// coldSetUp runs setUp in a fresh process of this binary and returns the
+// time it reports.
+func coldSetUp(w workload, seed int64) (time.Duration, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return 0, err
+	}
+	cmd := exec.Command(exe, "--workload", w.name, "--seed", strconv.FormatInt(seed, 10), "--setup-only")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return 0, fmt.Errorf("cold set-up process: %w", err)
+	}
+	secs, err := strconv.ParseFloat(strings.TrimSpace(string(out)), 64)
+	if err != nil {
+		return 0, fmt.Errorf("cold set-up process printed %q", out)
+	}
+	return time.Duration(secs * float64(time.Second)), nil
 }
 
 // adoptReference fixes what later passes are checked against.

@@ -23,11 +23,10 @@ export GOTOOLCHAIN=local GOPROXY=off GOFLAGS= GOWORK=off GOENV=off
 
 go -C perfbench build -buildvcs=false -o "$out/perfbench" . >&2
 
-# The commit, when the repository root is itself a git work tree.
+# The commit, when the repository root is a git work tree of its own.
 commit=""
-if command -v git >/dev/null 2>&1 &&
-	[ "$(git -C "$root" rev-parse --show-toplevel 2>/dev/null || true)" = "$root" ]; then
-	commit="$(git -C "$root" rev-parse HEAD)"
+if [ -e .git ] && command -v git >/dev/null 2>&1; then
+	commit="$(git rev-parse HEAD 2>/dev/null || true)"
 fi
 export PERFBENCH_COMMIT="$commit"
 exec "$out/perfbench" "$@"
