@@ -8,20 +8,47 @@ import (
 )
 
 // measureRunAllocs returns the average heap allocations of one full Run of
-// the flood workload for the given round count.
-func measureRunAllocs(t *testing.T, topo Topology, workers, rounds int) float64 {
+// the given workload for the given round count.
+func measureRunAllocs(t *testing.T, topo Topology, workers, rounds int, node func(rounds int) Node) float64 {
 	t.Helper()
 	nw, err := NewNetwork(topo, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := func(*Context) Node { return &benchFloodNode{rounds: rounds} }
-	opts := Options{MaxRounds: rounds + 2, Workers: workers}
+	factory := func(*Context) Node { return node(rounds) }
+	opts := Options{MaxRounds: rounds + 4, Workers: workers}
 	return testing.AllocsPerRun(5, func() {
 		if _, err := nw.Run(factory, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// staggeredNode keeps the active set churning: node v broadcasts only in
+// rounds r with (v+r) % 3 == 0 and otherwise sleeps until its next such
+// round, so every round some nodes wake by alarm, others by message, and
+// alarms go stale. An empty inbox never changes its state, as the sleep
+// contract requires.
+type staggeredNode struct {
+	rounds int
+	outbox []Message
+}
+
+func (s *staggeredNode) Init(ctx *Context) {
+	s.outbox = BroadcastAll(ctx, 1, 8)
+}
+
+func (s *staggeredNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
+	if round > s.rounds {
+		ctx.Sleep()
+		return nil, true
+	}
+	if (ctx.ID()+round)%3 == 0 {
+		ctx.SleepUntil(round + 3)
+		return s.outbox, false
+	}
+	ctx.SleepUntil(round + 3 - (ctx.ID()+round)%3)
+	return nil, false
 }
 
 // TestAppendConstructorsAllocFree pins the contract the Into constructors
@@ -66,19 +93,31 @@ func TestAppendConstructorsAllocFree(t *testing.T) {
 // nothing. Two runs of the same workload that differ only in round count
 // isolate the steady state — the per-run setup cost cancels in the
 // difference, so (allocs(long) - allocs(short)) / extra rounds must be ~0
-// on both the sequential and the pooled parallel path.
+// on both the sequential and the pooled parallel path. The staggered
+// workload pins the active-set upkeep (list rebuilds, alarms, wake-ups) at
+// zero too.
 func TestRoundLoopSteadyStateAllocFree(t *testing.T) {
 	topo := graph.Grid(24, 24)
 	const short, long = 8, 104
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			base := measureRunAllocs(t, topo, workers, short)
-			grown := measureRunAllocs(t, topo, workers, long)
-			perRound := (grown - base) / float64(long-short)
-			if perRound > 0.5 {
-				t.Errorf("steady state allocates %.2f objects/round (short run %.0f, long run %.0f); want 0",
-					perRound, base, grown)
-			}
-		})
+	workloads := []struct {
+		prefix string
+		node   func(rounds int) Node
+	}{
+		{"", func(rounds int) Node { return &benchFloodNode{rounds: rounds} }},
+		{"staggered/", func(rounds int) Node { return &staggeredNode{rounds: rounds} }},
+	}
+	for _, w := range workloads {
+		node := w.node
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%sworkers=%d", w.prefix, workers), func(t *testing.T) {
+				base := measureRunAllocs(t, topo, workers, short, node)
+				grown := measureRunAllocs(t, topo, workers, long, node)
+				perRound := (grown - base) / float64(long-short)
+				if perRound > 0.5 {
+					t.Errorf("steady state allocates %.2f objects/round (short run %.0f, long run %.0f); want 0",
+						perRound, base, grown)
+				}
+			})
+		}
 	}
 }

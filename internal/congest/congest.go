@@ -23,15 +23,23 @@
 // Payload (see payload.go — Kind/W0/W1, with boxed `any` kept as the escape
 // hatch), and a topology implementing IndexedTopology (such as *graph.CSR,
 // built by the streaming graph.Builder) is adopted without per-node copies
-// or sorts. Together these carry the same bit-exact accounting from the
-// paper-sized networks up to million-node topologies; see DESIGN.md,
-// "The congest hot path" and "Compact payloads and streaming topologies".
+// or sorts. A round steps only the active nodes: a node that has nothing to
+// do until a message arrives, or until a given round, says so with
+// Context.Sleep or Context.SleepUntil, and the loop keeps a sorted list of
+// the nodes still to step, so a round costs O(active + traffic) rather than
+// O(n). The list is kept in node-ID order, which leaves delivery positions,
+// accounting and trace order exactly as if every node stepped. Together
+// these carry the same bit-exact accounting from the paper-sized networks
+// up to million-node topologies; see DESIGN.md, "The congest hot path" and
+// "Compact payloads and streaming topologies".
 package congest
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -83,16 +91,21 @@ type Message struct {
 
 // Node is the per-processor state machine supplied by an algorithm.
 //
-// The simulator calls Init exactly once before the first round and then calls
-// Round once per round until every node has reported done (and no messages
-// remain in flight) or the round limit is reached.
+// The simulator calls Init exactly once before the first round. Every node
+// steps in round 1; after that a node steps in every round unless it asked
+// to sleep (Context.Sleep, Context.SleepUntil) during its previous step. A
+// sleeping node is stepped again in the first round that delivers it a
+// message or, after SleepUntil(r), in round r, whichever comes first. The
+// run ends when every node's last reported done is true and no messages
+// remain in flight, or when the round limit is reached.
 type Node interface {
 	// Init is called once with the node's static context before round 1.
 	Init(ctx *Context)
-	// Round is called at every round with the messages delivered this round
-	// (i.e. sent during the previous round). It returns the messages to send
-	// this round and whether the node has terminated. A terminated node is
-	// still called in later rounds (it may simply return nil, true).
+	// Round is called with the messages delivered this round (i.e. sent
+	// during the previous round). It returns the messages to send this
+	// round and whether the node has terminated. A terminated node that
+	// does not sleep is still called in later rounds (it may simply return
+	// nil, true); a sleeping node keeps the done value of its last call.
 	Round(ctx *Context, round int, inbox []Message) (outbox []Message, done bool)
 }
 
@@ -125,6 +138,12 @@ type Context struct {
 
 	output    any
 	outputSet bool
+
+	// wake is the sleep hint left by the current Round call: 0 when the
+	// node stays awake, otherwise the round by which it must be stepped
+	// again (math.MaxInt for Sleep). The round loop clears it before every
+	// Round call.
+	wake int
 }
 
 // ID returns this node's identifier (0..n-1).
@@ -225,6 +244,26 @@ func (c *Context) SetOutput(v any) {
 // Output returns the node's recorded output and whether one was set.
 func (c *Context) Output() (any, bool) { return c.output, c.outputSet }
 
+// Sleep asks the simulator not to step this node again until a message
+// arrives for it. It is a hint about the rounds after the current one and
+// only counts when called from Round; the last Sleep or SleepUntil of a
+// Round call wins.
+//
+// By calling it the program promises that, in every round it skips, Round
+// on an empty inbox would return (nil, the same done) and change no state:
+// no output, no randomness drawn, nothing it would behave differently on
+// later. The skipped rounds are then indistinguishable from stepped ones,
+// which is what keeps a run's Result and trace identical to one that steps
+// every node every round. The node keeps the done value it just returned
+// while it sleeps.
+func (c *Context) Sleep() { c.wake = math.MaxInt }
+
+// SleepUntil is Sleep with an alarm: the node is stepped again in round r,
+// or earlier if a message arrives for it. A round r no later than the next
+// one is no sleep at all, and a round past Options.MaxRounds is Sleep. The
+// same promise as Sleep's covers the skipped rounds.
+func (c *Context) SleepUntil(r int) { c.wake = r }
+
 // Errors reported by the simulator.
 var (
 	// ErrBandwidthExceeded reports that a node attempted to send more than B
@@ -234,6 +273,9 @@ var (
 	ErrNotNeighbor = errors.New("congest: message to non-neighbour")
 	// ErrNoTopology reports a network constructed without a topology.
 	ErrNoTopology = errors.New("congest: nil topology")
+	// ErrBandwidthTooLarge reports a bandwidth the per-edge accounting
+	// cannot hold: above math.MaxInt32 bits per round.
+	ErrBandwidthTooLarge = errors.New("congest: bandwidth above 2^31-1 bits per round")
 	// ErrRoundLimit reports that the round limit was reached before all
 	// nodes terminated.
 	ErrRoundLimit = errors.New("congest: round limit reached before termination")
@@ -278,10 +320,15 @@ type Network struct {
 
 // NewNetwork returns a network over the given topology with per-edge
 // bandwidth B (bits per round per direction). If bandwidth <= 0,
-// DefaultBandwidth is used.
+// DefaultBandwidth is used; a bandwidth above math.MaxInt32 is rejected with
+// ErrBandwidthTooLarge, because the round loop counts each edge's bits in an
+// int32.
 func NewNetwork(topo Topology, bandwidth int) (*Network, error) {
 	if topo == nil {
 		return nil, ErrNoTopology
+	}
+	if bandwidth > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: B=%d", ErrBandwidthTooLarge, bandwidth)
 	}
 	if bandwidth <= 0 {
 		bandwidth = DefaultBandwidth
@@ -392,12 +439,15 @@ type Options struct {
 // run statistics. It is deterministic for a fixed seed.
 //
 // The round loop is steady-state allocation-free: the per-run state below
-// (CSR edge index, flat bandwidth tables, double-buffered inboxes) is built
-// once, and each round only resets lengths and counters. A node's inbox
-// slice is therefore valid only for the duration of the Round call that
-// receives it — the buffer is reused for a later round's delivery (payload
-// values themselves are never touched; only the []Message backing array is
-// recycled). See DESIGN.md, "The congest hot path".
+// (CSR edge index, flat bandwidth tables, double-buffered inboxes, the
+// active list) is built once, and each round only resets lengths and
+// counters. A node's inbox slice is therefore valid only for the duration
+// of the Round call that receives it — the buffer is reused for a later
+// round's delivery (payload values themselves are never touched; only the
+// []Message backing array is recycled). A round steps only the active
+// nodes, those that did not sleep, got a message or hit their SleepUntil
+// round, so its cost is O(active + traffic) rather than O(n). See
+// DESIGN.md, "The congest hot path".
 func (nw *Network) Run(factory NodeFactory, opts Options) (*Result, error) {
 	st, err := newRunState(nw, factory, opts)
 	if err != nil {
@@ -417,15 +467,36 @@ type runState struct {
 
 	ctxs  []*Context
 	nodes []Node
-	done  []bool
+	// done is every node's last reported done; notDone counts the false
+	// entries, so termination is an O(1) test. Workers update it only when
+	// a node's done flips, which is rare, hence the atomic.
+	done    []bool
+	notDone atomic.Int64
 
 	// inboxes are the messages delivered this round; next is the buffer
 	// the current round's traffic is staged into. The two swap at every
-	// round boundary, and next's per-node slices are length-reset, not
-	// reallocated.
+	// round boundary. Every non-empty inbox belongs to a node that steps
+	// this round and is length-reset right after it steps, so the staging
+	// buffer is all empty when it comes round again.
 	inboxes  [][]Message
 	next     [][]Message
 	outboxes [][]Message
+
+	// The active set. active lists this round's nodes in ascending ID
+	// order; only they step, send and are merged. The next round's list
+	// is built during the round: keep collects the nodes that did not
+	// sleep (already in order, being a subsequence of active), fresh
+	// collects receivers and due timers not already queued, and the two
+	// are merged. queued[v] is set while v is on the list being built and
+	// cleared when v steps; the parallel validate phase sets it with a
+	// compare-and-swap. wakeAt[v] is v's armed SleepUntil round (0 when
+	// none), which tells live timers from stale ones.
+	active []int32
+	keep   []int32
+	fresh  []int32
+	queued []uint32
+	wakeAt []int
+	timers timerHeap
 
 	// The CSR edge index. Directed edge (v -> u) has slot
 	// offsets[v] + rank of u in v's sorted neighbour list; node v owns
@@ -436,18 +507,16 @@ type runState struct {
 	inSlot  []int32
 
 	// Flat per-directed-edge tables, indexed by slot and reset via the
-	// touched lists so a quiet round costs O(traffic), not O(m). Bandwidths
-	// beyond ~2^31 bits/round would overflow the int32 accumulation; the
-	// budget check itself runs in int, so violations are still caught.
+	// touched lists so a quiet round costs O(traffic), not O(m).
+	// NewNetwork caps the bandwidth at math.MaxInt32, so the int32 bit
+	// counts cannot overflow.
 	edgeBits []int32 // bits charged this round
 	edgeMsgs []int32 // messages staged this round
 	basePos  []int32 // parallel merge: first inbox position of the slot
 	cursor   []int32 // parallel merge: next free offset within the slot
 	touched  []int32 // slots charged this round (sequential merge)
 
-	// Per-round termination folds.
 	round      int
-	allDone    bool
 	anyMessage bool
 
 	// Parallel execution (Options.Workers > 1): a pool of goroutines that
@@ -463,13 +532,17 @@ type runState struct {
 	validateJob func(w int)
 	sizeJob     func(w int)
 	scatterJob  func(w int)
+	// wokenBufs[w] holds the receivers worker w queued during the
+	// validate phase; they are folded into fresh after the barrier.
+	wokenBufs [][]int32
 	// The parallel round tracer (Options.Trace with Workers > 1): each
 	// worker appends the messages it accepts during the validate phase to
-	// its own reused buffer. A worker's successive claims have strictly
-	// increasing node ranges and every sender is claimed by exactly one
-	// worker, so each buffer is sorted by sender ID and the buffers
-	// partition the round's senders — emitTrace merges them back into the
-	// exact sequential callback order after the barrier.
+	// its own reused buffer. A worker's successive claims cover strictly
+	// increasing stretches of the sorted active list and every sender is
+	// claimed by exactly one worker, so each buffer is sorted by sender ID
+	// and the buffers partition the round's senders — emitTrace merges
+	// them back into the exact sequential callback order after the
+	// barrier.
 	traceBufs [][]Message
 	traceIdx  []int
 	// asymmetric marks a degenerate Topology whose neighbour lists are not
@@ -565,6 +638,30 @@ func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, err
 		st.offsets[v+1] = st.offsets[v] + int32(len(st.ctxs[v].neighbors))
 	}
 	slots := st.offsets[n]
+	st.edgeBits = make([]int32, slots)
+	st.edgeMsgs = make([]int32, slots)
+
+	st.inboxes = make([][]Message, n)
+	st.next = make([][]Message, n)
+	st.outboxes = make([][]Message, n)
+	st.done = make([]bool, n)
+	st.notDone.Store(int64(n))
+
+	// Every node steps in round 1.
+	st.active = make([]int32, n)
+	for v := range st.active {
+		st.active[v] = int32(v)
+	}
+	st.keep = make([]int32, 0, n)
+	st.queued = make([]uint32, n)
+	st.wakeAt = make([]int, n)
+
+	workers := min(opts.Workers, n)
+	if workers <= 1 {
+		return st, nil
+	}
+	// The parallel merge's reverse edge index and delivery tables; the
+	// sequential merge needs neither.
 	st.inSlot = make([]int32, slots)
 	for u := 0; u < n; u++ {
 		for i, v := range st.ctxs[u].neighbors {
@@ -576,32 +673,19 @@ func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, err
 			st.inSlot[st.offsets[u]+int32(i)] = st.offsets[v] + int32(r)
 		}
 	}
-	st.edgeBits = make([]int32, slots)
-	st.edgeMsgs = make([]int32, slots)
 	st.basePos = make([]int32, slots)
 	st.cursor = make([]int32, slots)
-
-	st.inboxes = make([][]Message, n)
-	st.next = make([][]Message, n)
-	st.outboxes = make([][]Message, n)
-	st.done = make([]bool, n)
-
-	workers := opts.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers > 1 {
-		st.pool = newWorkerPool(workers)
-		st.scratch = make([]mergeScratch, workers)
-		st.panics = make([]any, n)
-		st.stepJob = st.stepWorker
-		st.validateJob = st.validateWorker
-		st.sizeJob = st.sizeWorker
-		st.scatterJob = st.scatterWorker
-		if opts.Trace != nil {
-			st.traceBufs = make([][]Message, workers)
-			st.traceIdx = make([]int, workers)
-		}
+	st.pool = newWorkerPool(workers)
+	st.scratch = make([]mergeScratch, workers)
+	st.panics = make([]any, n)
+	st.stepJob = st.stepWorker
+	st.validateJob = st.validateWorker
+	st.sizeJob = st.sizeWorker
+	st.scatterJob = st.scatterWorker
+	st.wokenBufs = make([][]int32, workers)
+	if opts.Trace != nil {
+		st.traceBufs = make([][]Message, workers)
+		st.traceIdx = make([]int, workers)
 	}
 	return st, nil
 }
@@ -622,12 +706,14 @@ func (st *runState) run() (*Result, error) {
 		}
 		res.Rounds = round
 		st.step(round)
+		st.settle(round)
 		if err := st.merge(round); err != nil {
 			st.collectOutputs()
 			return res, err
 		}
 		st.inboxes, st.next = st.next, st.inboxes
-		if st.allDone && !st.anyMessage {
+		st.active, st.keep = st.keep, st.active[:0]
+		if st.notDone.Load() == 0 && !st.anyMessage {
 			res.Terminated = true
 			break
 		}
@@ -651,14 +737,14 @@ func (st *runState) collectOutputs() {
 	}
 }
 
-// step invokes every node's Round for the given round, filling outboxes
-// and done.
+// step invokes Round on every active node for the given round, filling
+// outboxes and done.
 func (st *runState) step(round int) {
 	st.round = round
 	if st.pool == nil {
-		for v := 0; v < st.n; v++ {
-			if p := st.stepOne(v); p != nil {
-				panic(panicText(v, round, p))
+		for _, v := range st.active {
+			if p := st.stepOne(int(v)); p != nil {
+				panic(panicText(int(v), round, p))
 			}
 		}
 		return
@@ -669,50 +755,124 @@ func (st *runState) step(round int) {
 	if st.panicked.Load() {
 		// Re-raise the panic of the lowest-ID panicking node, so a failing
 		// run reports identically whatever the worker count or scheduling.
-		for v := 0; v < st.n; v++ {
-			if st.panics[v] != nil {
-				panic(panicText(v, round, st.panics[v]))
+		for _, v := range st.active {
+			if p := st.panics[v]; p != nil {
+				panic(panicText(int(v), round, p))
 			}
 		}
 	}
 }
 
 // stepOne runs one node's Round and returns its panic value, if any, so the
-// caller can surface it deterministically.
+// caller can surface it deterministically. It takes the node off the list
+// being built, clears its sleep hint before the call and its inbox after.
 func (st *runState) stepOne(v int) (panicked any) {
 	defer func() { panicked = recover() }()
-	st.outboxes[v], st.done[v] = st.nodes[v].Round(st.ctxs[v], st.round, st.inboxes[v])
+	st.queued[v] = 0
+	ctx := st.ctxs[v]
+	ctx.wake = 0
+	out, done := st.nodes[v].Round(ctx, st.round, st.inboxes[v])
+	st.outboxes[v] = out
+	st.inboxes[v] = st.inboxes[v][:0]
+	if done != st.done[v] {
+		st.done[v] = done
+		if done {
+			st.notDone.Add(-1)
+		} else {
+			st.notDone.Add(1)
+		}
+	}
 	return nil
 }
 
-// merge validates, accounts and delivers the round's traffic. The parallel
-// path requires the reverse edge index, so asymmetric topologies stay
-// sequential; tracing runs on either path (see the parallel round tracer in
-// parallel.go).
+// settle reads the sleep hints the active nodes just left: a node that
+// stays awake goes on next round's list, a SleepUntil arms a timer, and a
+// Sleep (or an alarm past the round limit) leaves the node to be woken by
+// a message.
+func (st *runState) settle(round int) {
+	for _, v := range st.active {
+		switch wake := st.ctxs[v].wake; {
+		case wake <= round+1:
+			st.wakeAt[v] = 0
+			st.queued[v] = 1
+			st.keep = append(st.keep, v)
+		case wake > st.opts.MaxRounds:
+			st.wakeAt[v] = 0
+		case wake != st.wakeAt[v]:
+			// Re-arming the same round keeps its heap entry; only a new
+			// round needs one.
+			st.wakeAt[v] = wake
+			st.timers.push(timer{at: wake, v: v})
+		}
+	}
+}
+
+// merge validates, accounts and delivers the round's traffic, then builds
+// next round's active list. The parallel path requires the reverse edge
+// index, so asymmetric topologies stay sequential; tracing runs on either
+// path (see the parallel round tracer in parallel.go).
 func (st *runState) merge(round int) error {
-	st.allDone = true
 	st.anyMessage = false
 	if st.pool == nil || st.asymmetric {
-		for v := 0; v < st.n; v++ {
-			st.next[v] = st.next[v][:0]
+		if err := st.mergeSeq(round); err != nil {
+			return err
 		}
-		return st.mergeSeq(round)
+		st.buildNext(round)
+		return nil
 	}
 	return st.mergePar(round)
 }
 
-// mergeSeq is the sequential merge: one pass over senders in ID order,
-// appending into the reused next-inbox buffers. It is also the reference
-// semantics the parallel path replays on its (cold) error paths, so the two
-// return bit-for-bit identical partial results.
+// queue puts receiver u on next round's list unless it is already there.
+func (st *runState) queue(u int) {
+	if st.queued[u] == 0 {
+		st.queued[u] = 1
+		st.fresh = append(st.fresh, int32(u))
+	}
+}
+
+// buildNext completes next round's active list in keep: it adds the
+// sleepers whose alarm rings next round to the woken receivers in fresh,
+// sorts those, and merges them into keep, which is already in ID order. The
+// merge runs backwards in place, so no buffer beyond keep's capacity is
+// needed.
+func (st *runState) buildNext(round int) {
+	for len(st.timers) > 0 && st.timers[0].at <= round+1 {
+		t := st.timers.pop()
+		if st.wakeAt[t.v] == t.at {
+			st.wakeAt[t.v] = 0
+			st.queue(int(t.v))
+		}
+	}
+	if len(st.fresh) == 0 {
+		return
+	}
+	slices.Sort(st.fresh)
+	i, j := len(st.keep)-1, len(st.fresh)-1
+	st.keep = append(st.keep, st.fresh...)
+	for k := len(st.keep) - 1; j >= 0; k-- {
+		if i >= 0 && st.keep[i] > st.fresh[j] {
+			st.keep[k] = st.keep[i]
+			i--
+		} else {
+			st.keep[k] = st.fresh[j]
+			j--
+		}
+	}
+	st.fresh = st.fresh[:0]
+}
+
+// mergeSeq is the sequential merge: one pass over the active senders in ID
+// order, appending into the reused next-inbox buffers and queuing each
+// receiver. It is also the reference semantics the parallel path replays on
+// its (cold) error paths, so the two return bit-for-bit identical partial
+// results.
 func (st *runState) mergeSeq(round int) error {
 	res := st.res
 	bandwidth := st.nw.bandwidth
 	var traffic RoundTraffic
-	for v := 0; v < st.n; v++ {
-		if !st.done[v] {
-			st.allDone = false
-		}
+	for _, v32 := range st.active {
+		v := int(v32)
 		ctx := st.ctxs[v]
 		base := st.offsets[v]
 		for _, msg := range st.outboxes[v] {
@@ -738,6 +898,7 @@ func (st *runState) mergeSeq(round int) error {
 			st.edgeBits[slot] = int32(total)
 			st.edgeMsgs[slot]++
 			st.next[msg.To] = append(st.next[msg.To], msg)
+			st.queue(msg.To)
 			traffic.Messages++
 			res.TotalMessages++
 			res.TotalBits += int64(msg.Bits)
@@ -771,4 +932,54 @@ func (st *runState) resetEdgeTables() {
 		st.edgeMsgs[slot] = 0
 	}
 	st.touched = st.touched[:0]
+}
+
+// timer is an armed SleepUntil: node v is due back in round at.
+type timer struct {
+	at int
+	v  int32
+}
+
+// timerHeap is a binary min-heap of timers by round, written out rather
+// than built on container/heap, whose Push boxes every entry. Entries are
+// never removed early: a node woken by a message before its alarm, or
+// re-armed for another round, leaves a stale entry behind, and wakeAt tells
+// the two apart when the entry surfaces.
+type timerHeap []timer
+
+func (h *timerHeap) push(t timer) {
+	*h = append(*h, t)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if s[parent].at <= s[i].at {
+			break
+		}
+		s[parent], s[i] = s[i], s[parent]
+		i = parent
+	}
+}
+
+func (h *timerHeap) pop() timer {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < len(s) && s[l].at < s[least].at {
+			least = l
+		}
+		if r < len(s) && s[r].at < s[least].at {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+	*h = s
+	return top
 }

@@ -2,6 +2,8 @@ package congest
 
 import (
 	"errors"
+	"math"
+	"strconv"
 	"testing"
 
 	"qdc/internal/graph"
@@ -225,6 +227,21 @@ func TestNilTopologyAndNilFactory(t *testing.T) {
 	nw, _ := NewNetwork(graph.Path(2), 8)
 	if _, err := nw.Run(func(*Context) Node { return nil }, Options{}); err == nil {
 		t.Fatal("nil node should be rejected")
+	}
+}
+
+// TestNewNetworkRejectsOversizeBandwidth pins the cap that keeps the round
+// loop's int32 per-edge bit counts from overflowing.
+func TestNewNetworkRejectsOversizeBandwidth(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("int cannot hold a bandwidth above math.MaxInt32")
+	}
+	widest := math.MaxInt32
+	if nw, err := NewNetwork(graph.Path(2), widest); err != nil || nw.Bandwidth() != widest {
+		t.Fatalf("B=MaxInt32: err %v, want the bandwidth accepted", err)
+	}
+	if _, err := NewNetwork(graph.Path(2), widest+1); !errors.Is(err, ErrBandwidthTooLarge) {
+		t.Fatalf("B=MaxInt32+1: err = %v, want ErrBandwidthTooLarge", err)
 	}
 }
 

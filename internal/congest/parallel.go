@@ -1,23 +1,30 @@
 package congest
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // The parallel execution path. With Options.Workers > 1 a run owns a pool of
 // goroutines that lives from round 1 to termination; each round dispatches
 // the same pre-built job closures to the pool, so the steady state allocates
-// nothing. Nodes are claimed from a shared counter in chunks to amortise the
-// atomic and keep neighbouring nodes' state on one worker's cache.
+// nothing. Workers claim chunks of the round's sorted active list from a
+// shared counter, which amortises the atomic and keeps neighbouring nodes'
+// state on one worker's cache.
 //
 // The contract is bit-for-bit equality with the sequential path, argued in
 // DESIGN.md ("The congest hot path"): stepping is trivially order-free (a
 // node's Round touches only its own state and inbox), accounting folds
 // per-worker sums and maxes in worker-index order, and delivery writes every
 // message at the exact index the sequential append would have used, computed
-// from the CSR edge index. Error rounds leave the parallel path entirely:
-// the round is re-merged sequentially, so partial results and error text
-// match the sequential run down to the byte.
+// from the CSR edge index. Every phase walks the same sorted active list
+// the sequential merge walks, so sender-ID order, and with it every position
+// and the trace order, does not depend on which nodes are asleep. Error
+// rounds leave the parallel path entirely: the round is re-merged
+// sequentially, so partial results and error text match the sequential run
+// down to the byte.
 
-// mergeChunk is the number of consecutive node IDs a worker claims per
+// mergeChunk is the number of consecutive list entries a worker claims per
 // shared-counter increment.
 const mergeChunk = 64
 
@@ -30,7 +37,6 @@ type mergeScratch struct {
 	quantumBits   int64
 	classicalBits int64
 	maxEdgeBits   int
-	notAllDone    bool
 	anyMessage    bool
 	_             [64]byte
 }
@@ -88,30 +94,27 @@ func panicText(v, round int, p any) string {
 	return fmt.Sprintf("congest: node %d panicked in round %d: %v", v, round, p)
 }
 
-// claim hands the worker the next chunk of node IDs, [lo, hi); ok is false
-// when the round's nodes are exhausted.
-func (st *runState) claim() (lo, hi int, ok bool) {
+// claim hands the worker the next chunk [lo, hi) of a list of the given
+// length; ok is false when the list is exhausted.
+func (st *runState) claim(length int) (lo, hi int, ok bool) {
 	end := int(st.nextNode.Add(mergeChunk))
 	lo = end - mergeChunk
-	if lo >= st.n {
+	if lo >= length {
 		return 0, 0, false
 	}
-	if end > st.n {
-		end = st.n
-	}
-	return lo, end, true
+	return lo, min(end, length), true
 }
 
-// stepWorker steps claimed nodes, recording panics per node so the caller
-// can re-raise the lowest ID deterministically.
+// stepWorker steps claimed active nodes, recording panics per node so the
+// caller can re-raise the lowest ID deterministically.
 func (st *runState) stepWorker(int) {
 	for {
-		lo, hi, ok := st.claim()
+		lo, hi, ok := st.claim(len(st.active))
 		if !ok {
 			return
 		}
-		for v := lo; v < hi; v++ {
-			if p := st.stepOne(v); p != nil {
+		for _, v := range st.active[lo:hi] {
+			if p := st.stepOne(int(v)); p != nil {
 				st.panics[v] = p
 				st.panicked.Store(true)
 			}
@@ -122,15 +125,18 @@ func (st *runState) stepWorker(int) {
 // mergePar is the parallel merge: three barrier-separated phases over the
 // round's traffic.
 //
-//  1. validate: workers claim senders and charge each message against the
-//     sender-private slots of the CSR edge index (edgeBits/edgeMsgs), summing
-//     traffic into per-worker scratch. Slots of distinct senders are
-//     distinct, so no two workers touch the same table entry.
-//  2. size: workers claim receivers, turn each receiver's in-slot message
-//     counts into inbox positions (basePos), length-reset its inbox buffer,
-//     and zero the tables for the next round. Every slot is an in-slot of
+//  1. validate: workers claim active senders and charge each message
+//     against the sender-private slots of the CSR edge index
+//     (edgeBits/edgeMsgs), summing traffic into per-worker scratch. Slots of
+//     distinct senders are distinct, so no two workers touch the same table
+//     entry. Each receiver not yet on next round's list is queued by the
+//     worker that wins its queued flag.
+//  2. size: once next round's list is built, workers claim its nodes, a
+//     superset of the round's receivers, turn each one's in-slot message
+//     counts into inbox positions (basePos), size its inbox buffer, and
+//     zero the tables for the next round. Every slot is an in-slot of
 //     exactly one receiver, so this phase is also write-disjoint.
-//  3. scatter: workers claim senders again and write each message at
+//  3. scatter: workers claim active senders again and write each message at
 //     basePos[slot]+cursor[slot]++ — the position the sequential merge's
 //     append would have chosen, since a receiver's in-slots are ordered by
 //     sender ID and cursors advance in outbox order.
@@ -150,22 +156,19 @@ func (st *runState) mergePar(round int) error {
 	st.pool.run(st.validateJob)
 
 	if st.mergeFailed.Load() {
-		// Cold path: wipe all staged state — including any half-recorded
-		// trace buffers — and re-run the round's merge sequentially for
-		// byte-identical partial results, trace stream and error.
-		for i := range st.edgeBits {
-			st.edgeBits[i] = 0
-			st.edgeMsgs[i] = 0
+		// Cold path: wipe the senders' staged tables and any half-recorded
+		// trace buffers, and re-run the round's merge sequentially for
+		// byte-identical partial results, trace stream and error. The run
+		// ends with this round, so the queued marks need no undoing.
+		for _, v := range st.active {
+			for slot := st.offsets[v]; slot < st.offsets[v+1]; slot++ {
+				st.edgeBits[slot] = 0
+				st.edgeMsgs[slot] = 0
+			}
 		}
-		st.touched = st.touched[:0]
 		for w := range st.traceBufs {
 			st.traceBufs[w] = st.traceBufs[w][:0]
 		}
-		for v := 0; v < st.n; v++ {
-			st.next[v] = st.next[v][:0]
-		}
-		st.allDone = true
-		st.anyMessage = false
 		return st.mergeSeq(round)
 	}
 
@@ -173,9 +176,6 @@ func (st *runState) mergePar(round int) error {
 	var traffic RoundTraffic
 	for w := range st.scratch {
 		sc := &st.scratch[w]
-		if sc.notAllDone {
-			st.allDone = false
-		}
 		if sc.anyMessage {
 			st.anyMessage = true
 		}
@@ -195,6 +195,11 @@ func (st *runState) mergePar(round int) error {
 	if st.traceBufs != nil {
 		st.emitTrace(round)
 	}
+	for w, woken := range st.wokenBufs {
+		st.fresh = append(st.fresh, woken...)
+		st.wokenBufs[w] = woken[:0]
+	}
+	st.buildNext(round)
 
 	st.nextNode.Store(0)
 	st.pool.run(st.sizeJob)
@@ -211,19 +216,18 @@ func (st *runState) validateWorker(w int) {
 		if st.mergeFailed.Load() {
 			return
 		}
-		lo, hi, ok := st.claim()
+		lo, hi, ok := st.claim(len(st.active))
 		if !ok {
 			return
 		}
-		for v := lo; v < hi; v++ {
-			if !st.done[v] {
-				sc.notAllDone = true
-			}
+		for _, v32 := range st.active[lo:hi] {
+			v := int(v32)
 			ctx := st.ctxs[v]
 			base := st.offsets[v]
 			out := st.outboxes[v]
 			for i := range out {
-				r := ctx.neighborRank(out[i].To)
+				to := out[i].To
+				r := ctx.neighborRank(to)
 				if r < 0 {
 					st.mergeFailed.Store(true)
 					return
@@ -240,6 +244,9 @@ func (st *runState) validateWorker(w int) {
 				}
 				st.edgeBits[slot] = int32(total)
 				st.edgeMsgs[slot]++
+				if atomic.LoadUint32(&st.queued[to]) == 0 && atomic.CompareAndSwapUint32(&st.queued[to], 0, 1) {
+					st.wokenBufs[w] = append(st.wokenBufs[w], int32(to))
+				}
 				if st.traceBufs != nil {
 					m := out[i]
 					m.From = v
@@ -262,14 +269,15 @@ func (st *runState) validateWorker(w int) {
 	}
 }
 
-// sizeWorker is phase 2 of mergePar.
+// sizeWorker is phase 2 of mergePar. It walks next round's list (keep,
+// completed by buildNext), which holds every receiver of the round.
 func (st *runState) sizeWorker(int) {
 	for {
-		lo, hi, ok := st.claim()
+		lo, hi, ok := st.claim(len(st.keep))
 		if !ok {
 			return
 		}
-		for u := lo; u < hi; u++ {
+		for _, u := range st.keep[lo:hi] {
 			base := st.offsets[u]
 			deg := st.offsets[u+1] - base
 			var total int32
@@ -296,7 +304,8 @@ func (st *runState) sizeWorker(int) {
 // exact order the sequential merge emits them: ascending sender ID, outbox
 // order within a sender. Each per-worker buffer is sorted by sender ID and
 // the buffers partition the round's senders (claims hand each worker
-// strictly increasing, disjoint node ranges), so a k-way merge on the head
+// strictly increasing, disjoint stretches of the sorted active list), so a
+// k-way merge on the head
 // sender — draining each sender's contiguous run in one go — reproduces the
 // sequential stream exactly. It runs on one goroutine, after the validate
 // barrier, and allocates nothing.
@@ -332,11 +341,12 @@ func (st *runState) emitTrace(round int) {
 // scatterWorker is phase 3 of mergePar.
 func (st *runState) scatterWorker(int) {
 	for {
-		lo, hi, ok := st.claim()
+		lo, hi, ok := st.claim(len(st.active))
 		if !ok {
 			return
 		}
-		for v := lo; v < hi; v++ {
+		for _, v32 := range st.active[lo:hi] {
+			v := int(v32)
 			ctx := st.ctxs[v]
 			base := st.offsets[v]
 			out := st.outboxes[v]

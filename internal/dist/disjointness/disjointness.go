@@ -141,6 +141,8 @@ type pathInput struct{ X, Y []int }
 // B-bit chunks, interior nodes forward the stream rightwards, the right
 // endpoint reassembles X, intersects it with Y and floods the one-bit
 // answer back; every node terminates once the answer passes through it.
+// Interior nodes only ever forward what they receive, so they sleep
+// between messages.
 type pathNode struct {
 	x, y     []int
 	sent     int
@@ -215,6 +217,9 @@ func (p *pathNode) Round(ctx *congest.Context, round int, inbox []congest.Messag
 		out = congest.AppendWordMessage(out, id-1, kindAnswer, congest.WordFromBool(disjoint), 0, congest.BitsForBool)
 	}
 
+	if id > 0 && id < last {
+		ctx.Sleep()
+	}
 	p.outbox = out
 	return out, p.answered
 }

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"math"
+	"strconv"
 	"testing"
 
 	"qdc/internal/congest"
@@ -35,6 +37,25 @@ func TestNewLocalValidation(t *testing.T) {
 	}
 	if r.Size() != 4 {
 		t.Fatalf("size = %d, want 4", r.Size())
+	}
+}
+
+// TestConstructorsSurfaceOversizeBandwidth checks that every backend
+// constructor passes congest's bandwidth cap through as an error.
+func TestConstructorsSurfaceOversizeBandwidth(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("int cannot hold a bandwidth above math.MaxInt32")
+	}
+	tooWide := math.MaxInt32
+	tooWide++
+	for name, build := range map[string]func() error{
+		"local":    func() error { _, err := NewLocal(graph.Path(3), tooWide, 1); return err },
+		"parallel": func() error { _, err := NewParallel(graph.Path(3), tooWide, 1); return err },
+		"quantum":  func() error { _, err := NewQuantum(graph.Path(3), tooWide, 1); return err },
+	} {
+		if err := build(); !errors.Is(err, congest.ErrBandwidthTooLarge) {
+			t.Errorf("%s: err = %v, want congest.ErrBandwidthTooLarge", name, err)
+		}
 	}
 }
 

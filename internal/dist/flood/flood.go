@@ -41,11 +41,12 @@ const kindDist uint8 = 1
 func distBits(n int) int { return engine.TagBits + congest.BitsForID(n) }
 
 // node is the flooding node program: adopt the first announced distance + 1,
-// re-announce once, terminate.
+// re-announce once, terminate. Only the wavefront has work to do, so a node
+// sleeps while the wave has not reached it and again once it has
+// announced: in both states an empty inbox changes nothing.
 type node struct {
 	source bool
 	dist   int
-	outbox []congest.Message
 	sent   bool
 }
 
@@ -67,17 +68,19 @@ func (f *node) Round(ctx *congest.Context, round int, inbox []congest.Message) (
 		}
 	}
 	if f.dist == -1 {
+		ctx.Sleep()
 		return nil, false
 	}
 	if f.sent {
 		ctx.SetOutput(f.dist)
+		ctx.Sleep()
 		return nil, true
 	}
+	// A node announces once, so its outbox is not kept: the simulator drops
+	// it when the node steps again, and the garbage collector can reclaim
+	// it while the wave is still moving.
 	f.sent = true
-	if f.outbox == nil {
-		f.outbox = congest.BroadcastAllWords(ctx, kindDist, uint64(f.dist), 0, distBits(ctx.N()))
-	}
-	return f.outbox, false
+	return congest.BroadcastAllWords(ctx, kindDist, uint64(f.dist), 0, distBits(ctx.N())), false
 }
 
 // Run floods from source on the runner's network and returns every node's

@@ -213,7 +213,8 @@ type fragMsg struct{ Label, Dist int }
 // fragNode floods the minimum node ID of its fragment together with the
 // tree distance to that leader, as kindFrag word messages. Chosen edges
 // always form a forest, so the distance converges to the unique tree
-// distance within n rounds.
+// distance within n rounds. A node with nothing new to send sleeps until
+// round n+1, as only an incoming message could change its state before.
 type fragNode struct {
 	treeNbrs []int
 	label    int
@@ -251,6 +252,7 @@ func (f *fragNode) Round(ctx *congest.Context, round int, inbox []congest.Messag
 		f.outbox = congest.BroadcastWordsInto(f.outbox[:0], f.treeNbrs, kindFrag, uint64(cur.Label), uint64(cur.Dist), bits)
 		return f.outbox, false
 	}
+	ctx.SleepUntil(n + 1)
 	return nil, false
 }
 
@@ -322,7 +324,9 @@ type moeOutput struct {
 // the fragment-tree orientation (the parent is the unique tree neighbour
 // closer to the leader) together with the best local outgoing edge, and an
 // event-driven convergecast then delivers the fragment-wide minimum to the
-// leader, who announces it as the node output.
+// leader, who announces it as the node output. From round 2 on only a
+// child's candidate can change a node's state, so it sleeps between
+// messages, and for good once it has finished.
 type moeNode struct {
 	st   fragState
 	keys keyFunc
@@ -397,6 +401,9 @@ func (m *moeNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 			kind, w0, w1 := encodeCand(m.best)
 			out = append(out, congest.NewWordMessage(m.parent, kind, w0, w1, m.candBits(n, m.best)))
 		}
+	}
+	if m.oriented {
+		ctx.Sleep()
 	}
 	return out, m.finished
 }

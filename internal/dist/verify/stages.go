@@ -37,7 +37,9 @@ const (
 // which every node's label is the smallest ID in its M-component (the
 // M-diameter is at most n−1, so n propagation rounds always suffice). The
 // component leaders — nodes whose label equals their own ID — then identify
-// the components for the aggregation stage.
+// the components for the aggregation stage. A node with nothing new to send
+// sleeps until round n+1: until then only a smaller label, which arrives as
+// a message, could change anything.
 type labelNode struct {
 	mNbrs    []int
 	label    int
@@ -71,6 +73,7 @@ func (l *labelNode) Round(ctx *congest.Context, round int, inbox []congest.Messa
 		l.outbox = congest.BroadcastWordsInto(l.outbox[:0], l.mNbrs, kindLabel, uint64(l.label), 0, bits)
 		return l.outbox, false
 	}
+	ctx.SleepUntil(n + 1)
 	return nil, false
 }
 
@@ -96,7 +99,8 @@ type colorInput struct {
 // node's colour is its distance parity, and one final exchange over M-edges
 // detects monochromatic edges — which exist iff the component contains an
 // odd cycle (iff M is not bipartite). Both message kinds travel
-// word-encoded (kindDist, kindColor).
+// word-encoded (kindDist, kindColor). Like labelNode, a node with nothing
+// new to send during the propagation rounds sleeps until round n+1.
 type colorNode struct {
 	mNbrs    []int
 	dist     int
@@ -144,6 +148,7 @@ func (c *colorNode) Round(ctx *congest.Context, round int, inbox []congest.Messa
 			c.outbox = congest.BroadcastWordsInto(c.outbox[:0], c.mNbrs, kindDist, uint64(c.dist), 0, bits)
 			return c.outbox, false
 		}
+		ctx.SleepUntil(n + 1)
 		return nil, false
 	case round == n+1:
 		bits := tagBits + congest.BitsForBool

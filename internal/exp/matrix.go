@@ -197,13 +197,13 @@ var matrices = map[string]Matrix{
 		Algorithms: []string{AlgFlood},
 		BaseSeed:   1,
 	},
-	// scale-xl is the 100k+-node sweep the allocation-free round loop
-	// unlocked: flooding on path and grid at n >= 100k, local vs parallel,
-	// topped by the million-node grid the streaming CSR loader and the
-	// word-encoded flood payloads exist for (its ~2000-round eccentricity
-	// needs an explicit -timeout of several minutes). It is deliberately
-	// absent from quick/default (and from CI) — run it explicitly with
-	// -matrix scale-xl when chasing round-loop throughput.
+	// scale-xl is the 100k+-node sweep: flooding on path and grid at
+	// n >= 100k, local vs parallel, topped by the million-node grid the
+	// streaming CSR loader and the word-encoded flood payloads exist for.
+	// The floods run ~2000 (grid) and ~100k (path) rounds, which fit the
+	// default per-scenario timeout because a round steps only the wavefront
+	// (the active-set round loop). It is kept out of quick/default, which
+	// must stay fast; CI runs it as its own step with -matrix scale-xl.
 	"scale-xl": {
 		Name: "scale-xl",
 		Topologies: []TopologySpec{

@@ -1,36 +1,22 @@
 package exp
 
 import (
+	"slices"
 	"testing"
 
-	"qdc/internal/congest"
+	"qdc/internal/dist/engine"
+	"qdc/internal/dist/flood"
 )
-
-// smokeWordFloodNode floods word-encoded announcements for a fixed number of
-// rounds and halts — the minimal all-touch workload for the streaming smoke.
-type smokeWordFloodNode struct {
-	rounds int
-	outbox []congest.Message
-}
-
-func (f *smokeWordFloodNode) Init(ctx *congest.Context) {
-	f.outbox = congest.BroadcastAllWords(ctx, 1, 1, 0, 8)
-}
-
-func (f *smokeWordFloodNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
-	if round > f.rounds {
-		return nil, true
-	}
-	return f.outbox, false
-}
 
 // TestMillionNodeStreamingSmoke is the CI gate on the million-node data path:
 // the streaming loader must build the n=1,000,000 grid CSR without ever
-// materialising adjacency maps, and the simulator must step a few word-flood
-// rounds over it through the CSR's fast indexed interface only. The
-// SlowNeighborCalls counter is the tripwire — any regression that routes the
-// round loop (or the loader) through the allocating Neighbors fallback shows
-// up as a non-zero count.
+// materialising adjacency maps, and the parallel backend must flood it to
+// termination through the CSR's fast indexed interface only. The flood's
+// ~2000 rounds are practical only because a round steps just the wavefront,
+// so the test also gates the active-set round loop at scale, and its
+// distances must equal a sequential BFS. The SlowNeighborCalls counter is the
+// tripwire — any regression that routes the round loop (or the loader)
+// through the allocating Neighbors fallback shows up as a non-zero count.
 func TestMillionNodeStreamingSmoke(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation multiplies the million-node footprint")
@@ -46,22 +32,21 @@ func TestMillionNodeStreamingSmoke(t *testing.T) {
 	if csr.N() != 1_000_000 {
 		t.Fatalf("CSR has %d vertices, want 1000000", csr.N())
 	}
-	nw, err := congest.NewNetwork(csr, 64)
+	r, err := engine.NewParallel(csr, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const rounds = 3
-	res, err := nw.Run(func(*congest.Context) congest.Node {
-		return &smokeWordFloodNode{rounds: rounds}
-	}, congest.Options{MaxRounds: rounds + 2, Workers: 4})
+	r.SetWorkers(4)
+	res, err := flood.Run(r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds < rounds {
-		t.Fatalf("ran %d rounds, want at least %d", res.Rounds, rounds)
+	want := csr.BFSDist(0)
+	if !slices.Equal(res.Dist, want) {
+		t.Fatal("flood distances disagree with BFS on the million-node grid")
 	}
-	if res.TotalMessages == 0 {
-		t.Fatal("flood rounds delivered no messages")
+	if ecc := slices.Max(want); res.Rounds != ecc+2 {
+		t.Errorf("flood took %d rounds, want ecc(0)+2 = %d", res.Rounds, ecc+2)
 	}
 	if calls := csr.SlowNeighborCalls(); calls != 0 {
 		t.Errorf("the run touched the slow Neighbors path %d times; the streaming data plane must stay on the indexed interface", calls)

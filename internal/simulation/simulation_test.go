@@ -2,8 +2,11 @@ package simulation
 
 import (
 	"errors"
+	"math"
+	"strconv"
 	"testing"
 
+	"qdc/internal/congest"
 	"qdc/internal/dist/verify"
 	"qdc/internal/graph"
 	"qdc/internal/lbnetwork"
@@ -24,6 +27,13 @@ func buildNetwork(t *testing.T, gamma, l int) *lbnetwork.Network {
 func TestNewRunnerValidation(t *testing.T) {
 	if _, err := NewRunner(nil, 64, 1); !errors.Is(err, ErrNilNetwork) {
 		t.Fatalf("err = %v, want ErrNilNetwork", err)
+	}
+	if strconv.IntSize == 64 {
+		tooWide := math.MaxInt32
+		tooWide++
+		if _, err := NewRunner(buildNetwork(t, 6, 17), tooWide, 1); !errors.Is(err, congest.ErrBandwidthTooLarge) {
+			t.Fatalf("err = %v, want congest.ErrBandwidthTooLarge", err)
+		}
 	}
 }
 
