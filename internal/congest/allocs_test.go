@@ -51,11 +51,38 @@ func (s *staggeredNode) Round(ctx *Context, round int, inbox []Message) ([]Messa
 	return nil, false
 }
 
+// boxedEchoNode boxes its payload once in Init and re-sends the same outbox
+// every round, and resolves every message it receives through ctx.Payload,
+// so both ends of the boxed path are in the measured steady state.
+type boxedEchoNode struct {
+	rounds int
+	outbox []Message
+	heard  int
+}
+
+func (b *boxedEchoNode) Init(ctx *Context) {
+	b.outbox = BroadcastAll(ctx, [2]int{ctx.ID(), 1}, 8)
+}
+
+func (b *boxedEchoNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
+	for _, m := range inbox {
+		if p, ok := ctx.Payload(m).([2]int); ok {
+			b.heard += p[1]
+		}
+	}
+	if round > b.rounds {
+		return nil, true
+	}
+	return b.outbox, false
+}
+
 // TestAppendConstructorsAllocFree pins the contract the Into constructors
 // advertise: appending into a slice with retained capacity allocates nothing,
 // so a node that keeps one outbox across rounds builds its messages entirely
 // off the heap. The boxed variants are measured with a pre-boxed payload —
-// boxing itself is the caller's business; the constructors must add nothing.
+// boxing the value into an interface is the caller's business. Each boxed
+// call adds one entry to the sender's box table, which allocates only when
+// the table doubles, so the per-call average rounds to zero.
 func TestAppendConstructorsAllocFree(t *testing.T) {
 	nw, err := NewNetwork(graph.Star(8), 64)
 	if err != nil {
@@ -74,11 +101,11 @@ func TestAppendConstructorsAllocFree(t *testing.T) {
 	var payload any = 1
 	dst := make([]Message, 0, 64)
 	cases := map[string]func(){
-		"AppendMessage":         func() { dst = AppendMessage(dst[:0], 1, payload, 8) },
+		"AppendMessage":         func() { dst = AppendMessage(hub, dst[:0], 1, payload, 8) },
 		"AppendWordMessage":     func() { dst = AppendWordMessage(dst[:0], 1, 1, 7, 0, 8) },
-		"BroadcastInto":         func() { dst = BroadcastInto(dst[:0], neighbors, payload, 8) },
+		"BroadcastInto":         func() { dst = BroadcastInto(hub, dst[:0], neighbors, payload, 8) },
 		"BroadcastWordsInto":    func() { dst = BroadcastWordsInto(dst[:0], neighbors, 1, 7, 0, 8) },
-		"BroadcastAllInto":      func() { dst = BroadcastAllInto(dst[:0], hub, payload, 8) },
+		"BroadcastAllInto":      func() { dst = BroadcastAllInto(hub, dst[:0], payload, 8) },
 		"BroadcastAllWordsInto": func() { dst = BroadcastAllWordsInto(dst[:0], hub, 1, 7, 0, 8) },
 	}
 	for name, f := range cases {
@@ -93,9 +120,10 @@ func TestAppendConstructorsAllocFree(t *testing.T) {
 // nothing. Two runs of the same workload that differ only in round count
 // isolate the steady state — the per-run setup cost cancels in the
 // difference, so (allocs(long) - allocs(short)) / extra rounds must be ~0
-// on both the sequential and the pooled parallel path. The staggered
-// workload pins the active-set upkeep (list rebuilds, alarms, wake-ups) at
-// zero too.
+// at one worker and on the pool. The staggered workload pins the
+// active-set upkeep (list rebuilds, alarms, wake-ups) at zero too, and the
+// boxed one the out-of-line payload path: box once, re-send and resolve
+// every round.
 func TestRoundLoopSteadyStateAllocFree(t *testing.T) {
 	topo := graph.Grid(24, 24)
 	const short, long = 8, 104
@@ -105,6 +133,7 @@ func TestRoundLoopSteadyStateAllocFree(t *testing.T) {
 	}{
 		{"", func(rounds int) Node { return &benchFloodNode{rounds: rounds} }},
 		{"staggered/", func(rounds int) Node { return &staggeredNode{rounds: rounds} }},
+		{"boxed/", func(rounds int) Node { return &boxedEchoNode{rounds: rounds} }},
 	}
 	for _, w := range workloads {
 		node := w.node

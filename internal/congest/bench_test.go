@@ -18,9 +18,9 @@ import (
 
 // benchFloodNode broadcasts a fixed payload to every neighbour each round
 // for a set number of rounds, then goes quiet. The outbox is built once in
-// Init and reused, and the payload is a small boxed int, so a steady-state
-// round allocates nothing in the node program — every measured allocation
-// belongs to the simulator.
+// Init and reused, and the payload is a small int boxed once into the
+// node's box table, so a steady-state round allocates nothing in the node
+// program — every measured allocation belongs to the simulator.
 type benchFloodNode struct {
 	rounds int
 	outbox []Message
@@ -39,8 +39,9 @@ func (f *benchFloodNode) Round(ctx *Context, round int, inbox []Message) ([]Mess
 
 // benchFloodWordsNode is benchFloodNode with a word-encoded outbox: the same
 // traffic shape carried in Message.W0 under a kind tag instead of a boxed
-// payload. Benchmarked against the boxed variant it isolates what the word
-// encoding saves on the delivery path (no interface headers in the inboxes).
+// payload. A boxed message is the same 32-byte Message with a handle in W0,
+// so the two should measure alike on the delivery path; a gap between them
+// would point at the box table.
 type benchFloodWordsNode struct {
 	rounds int
 	outbox []Message
@@ -73,7 +74,7 @@ func (p *benchPingPongNode) Init(ctx *Context) {
 		partner = ctx.ID() - 1
 	}
 	if partner >= 0 && partner < ctx.N() && ctx.IsNeighbor(partner) {
-		p.outbox = []Message{NewMessage(partner, 1, 8)}
+		p.outbox = []Message{NewMessage(ctx, partner, 1, 8)}
 	}
 }
 

@@ -16,22 +16,17 @@
 // (EPR pairs, teleportation, Grover search) whose costs are plugged into the
 // same accounting (see DESIGN.md, substitution table).
 //
-// The simulator is engineered for scale: the round loop is steady-state
-// allocation-free (CSR edge index, double-buffered inboxes/outboxes, a
-// write-disjoint parallel merge behind Options.Workers), messages carry
-// small contents word-encoded in two inline uint64s instead of a boxed
-// Payload (see payload.go — Kind/W0/W1, with boxed `any` kept as the escape
-// hatch), and a topology implementing IndexedTopology (such as *graph.CSR,
-// built by the streaming graph.Builder) is adopted without per-node copies
-// or sorts. A round steps only the active nodes: a node that has nothing to
-// do until a message arrives, or until a given round, says so with
-// Context.Sleep or Context.SleepUntil, and the loop keeps a sorted list of
-// the nodes still to step, so a round costs O(active + traffic) rather than
-// O(n). The list is kept in node-ID order, which leaves delivery positions,
-// accounting and trace order exactly as if every node stepped. Together
-// these carry the same bit-exact accounting from the paper-sized networks
-// up to million-node topologies; see DESIGN.md, "The congest hot path" and
-// "Compact payloads and streaming topologies".
+// The simulator is engineered for scale. A Message is 32 bytes with no
+// pointers; boxed content lives out of line in its sender's table (see
+// payload.go). Every round runs the same phases at any Options.Workers —
+// step, validate, size one flat inbox arena, scatter into it — on the
+// calling goroutine or on a persistent pool, allocation-free in steady
+// state and bit-for-bit equal across worker counts. An IndexedTopology
+// (such as *graph.CSR) is adopted without per-node copies. Only active
+// nodes step: a node with nothing to do until a message arrives, or until
+// a given round, says so with Context.Sleep or Context.SleepUntil, so a
+// round costs O(active + traffic) rather than O(n). See DESIGN.md, "The
+// congest hot path" and "Compact payloads and streaming topologies".
 package congest
 
 import (
@@ -51,24 +46,25 @@ const DefaultBandwidth = 32
 
 // Message is a single message sent over one edge in one round.
 //
-// A message carries its content in one of two representations. Word-encoded
-// messages (Kind != KindBoxed) pack the content into the two inline words W0
-// and W1 — no heap allocation, no interface header, no type assertion on
-// delivery — and are what the hot-path algorithms in internal/dist send.
-// Boxed messages (Kind == KindBoxed) carry arbitrary structured content in
-// Payload; they remain the escape hatch for payloads that do not fit two
-// words (quantum state references, variable-length chunks). The simulator
-// treats both identically: only Bits is charged against the bandwidth
-// budget, and the merge, trace and accounting paths never look inside
-// either representation.
+// A Message is 32 bytes and holds no pointers, so outboxes, inboxes and the
+// delivery arena are plain memory the garbage collector never scans. It
+// carries its content in one of two representations. Word-encoded messages
+// (Kind != KindBoxed) pack the content into the two inline words W0 and W1
+// and are what the hot-path algorithms in internal/dist send. Boxed
+// messages (Kind == KindBoxed) carry arbitrary structured content out of
+// line: the boxed constructors in payload.go store it in a table owned by
+// the sending node and put a handle in W0, and the receiver reads it back
+// with Context.Payload. The simulator treats both identically: only Bits is
+// charged against the bandwidth budget, and the delivery, trace and
+// accounting paths never look inside either representation.
 type Message struct {
-	// From and To are node IDs; To must be a neighbour of From.
-	From, To int
-	// Payload is the boxed message content, interpreted by the receiving
-	// node. It is nil for word-encoded messages.
-	Payload any
-	// Bits is the size charged against the per-edge, per-round budget.
-	Bits int
+	// From and To are node IDs; To must be a neighbour of From. From is
+	// filled in by the simulator.
+	From, To int32
+	// Bits is the size charged against the per-edge, per-round budget. The
+	// constructors saturate sizes beyond the int32 range, so an oversized
+	// message fails validation instead of wrapping round.
+	Bits int32
 	// Quantum marks the message as carrying qubits rather than classical
 	// bits. The paper's quantum CONGEST model (Section 2.1) charges qubits
 	// against the same per-edge bandwidth B, so the budget check is
@@ -78,14 +74,15 @@ type Message struct {
 	// genuinely quantum node program feed on.
 	Quantum bool
 	// Kind tags a word-encoded message. KindBoxed (the zero value) means
-	// the content is in Payload; any other value is algorithm-defined and
-	// says how to decode W0/W1. Kinds are scoped to one node program — the
-	// simulator never interprets them — so algorithms declare their own
-	// small constants starting at 1.
+	// the content is boxed and W0/W1 locate it; any other value is
+	// algorithm-defined and says how to decode W0/W1. Kinds are scoped to
+	// one node program — the simulator never interprets them — so
+	// algorithms declare their own small constants starting at 1.
 	Kind uint8
 	// W0 and W1 are the inline payload words of a word-encoded message.
 	// The typed accessors (Int0, Int1, Bool0, …) and the pack helpers
 	// (PackIDs, WordFromBool) in payload.go are the supported encodings.
+	// A boxed message keeps its handle in W0 and its owner's ID in W1.
 	W0, W1 uint64
 }
 
@@ -106,6 +103,13 @@ type Node interface {
 	// round and whether the node has terminated. A terminated node that
 	// does not sleep is still called in later rounds (it may simply return
 	// nil, true); a sleeping node keeps the done value of its last call.
+	//
+	// The inbox is a window on the round's delivery arena and is valid only
+	// until Round returns: a later round reuses the memory. A node that
+	// needs a message later copies it (Messages are plain values, so an
+	// assignment or append does). The outbox is only read, never modified
+	// or kept past the round, so a node may return the same slice every
+	// round.
 	Round(ctx *Context, round int, inbox []Message) (outbox []Message, done bool)
 }
 
@@ -119,9 +123,10 @@ type NodeFactory func(ctx *Context) Node
 // of its neighbours, the weights of its incident edges, the network size n,
 // and its problem-specific input, and nothing else about the topology.
 type Context struct {
-	id        int
-	n         int
-	bandwidth int
+	id int
+	// run is what every context of the run shares: n, B, and the contexts
+	// ctx.Payload resolves boxed messages through.
+	run       *runInfo
 	neighbors []int
 	// weights[i] is the weight of the edge to neighbors[i]. The parallel
 	// sorted slices replace the old per-node map so that the hot-path
@@ -144,16 +149,30 @@ type Context struct {
 	// again (math.MaxInt for Sleep). The round loop clears it before every
 	// Round call.
 	wake int
+
+	// boxes holds the contents of the boxed messages this node built; the
+	// first boxed constructor allocates it, so word-only nodes carry a nil
+	// pointer (see payload.go).
+	boxes *boxTable
+}
+
+// runInfo is the part of a run every Context points at: the network's size
+// and bandwidth, and the run's contexts, through which Context.Payload
+// reaches a boxed message's owner. One pointer to it stands in for
+// per-context copies of n and B.
+type runInfo struct {
+	n, bandwidth int
+	ctxs         []Context
 }
 
 // ID returns this node's identifier (0..n-1).
 func (c *Context) ID() int { return c.id }
 
 // N returns the number of nodes in the network.
-func (c *Context) N() int { return c.n }
+func (c *Context) N() int { return c.run.n }
 
 // Bandwidth returns the per-edge, per-round bit budget B.
-func (c *Context) Bandwidth() int { return c.bandwidth }
+func (c *Context) Bandwidth() int { return c.run.bandwidth }
 
 // Degree returns the number of neighbours.
 func (c *Context) Degree() int { return len(c.neighbors) }
@@ -405,23 +424,25 @@ type Options struct {
 	MaxRounds int
 	// Trace, if non-nil, is invoked for every accepted message with the
 	// round in which it was sent, in deterministic sender-ID order (outbox
-	// order within a sender). It is used by the Simulation Theorem engine
+	// order within a sender), with From filled in and a negative Bits
+	// clamped to 0. It is used by the Simulation Theorem engine
 	// (internal/simulation) to re-account each message to the party that
 	// owns its sender, and by the Grover backend to measure stream volume.
-	// Tracing no longer forces the sequential merge: under Workers > 1 the
-	// validate phase records accepted messages into per-worker buffers and
-	// the round's barrier folds them back into sender-ID order before the
-	// callback runs, so the observed event stream is identical to a
-	// sequential run's (the callback itself always executes on one
-	// goroutine, after validation, never concurrently).
+	// The validate phase records accepted messages into per-worker buffers
+	// and the round folds them back into sender-ID order before the
+	// callback runs, so the event stream is the same at every worker count;
+	// the callback always executes on one goroutine, after validation,
+	// never concurrently. A boxed message is traced with its handle, which
+	// is the same at every worker count.
 	Trace func(round int, msg Message)
-	// Workers selects how many goroutines step nodes and merge traffic
-	// within each round. Values <= 1 run sequentially. Any value produces
-	// bit-for-bit identical Results: nodes only interact through messages
-	// delivered at round boundaries, each node owns a private random
-	// stream, every per-round quantity is a sum or max folded in
-	// deterministic order, and messages are delivered at positions computed
-	// from the CSR edge index, independent of worker scheduling.
+	// Workers selects how many goroutines step nodes and deliver traffic
+	// within each round. Values <= 1 run every phase on the calling
+	// goroutine. Any value produces bit-for-bit identical Results: nodes
+	// only interact through messages delivered at round boundaries, each
+	// node owns a private random stream, every per-round quantity is a sum
+	// or max folded in deterministic order, and each inbox holds its
+	// messages in the order computed from the in-edge index, independent of
+	// worker scheduling.
 	Workers int
 	// Cancel, if non-nil, is polled once per round before the round's nodes
 	// step; when it returns true, Run stops and returns the partial result
@@ -439,12 +460,9 @@ type Options struct {
 // run statistics. It is deterministic for a fixed seed.
 //
 // The round loop is steady-state allocation-free: the per-run state below
-// (CSR edge index, flat bandwidth tables, double-buffered inboxes, the
-// active list) is built once, and each round only resets lengths and
-// counters. A node's inbox slice is therefore valid only for the duration
-// of the Round call that receives it — the buffer is reused for a later
-// round's delivery (payload values themselves are never touched; only the
-// []Message backing array is recycled). A round steps only the active
+// (CSR edge index and its in-edge view, flat per-edge tables, the
+// double-buffered inbox arena, the active list) is built once, and each
+// round only resets lengths and counters. A round steps only the active
 // nodes, those that did not sleep, got a message or hit their SleepUntil
 // round, so its cost is O(active + traffic) rather than O(n). See
 // DESIGN.md, "The congest hot path".
@@ -460,12 +478,10 @@ func (nw *Network) Run(factory NodeFactory, opts Options) (*Result, error) {
 // runState is the per-run working set of Network.Run. Everything in it is
 // allocated before round 1 and reused by every round.
 type runState struct {
-	nw   *Network
+	runInfo
 	opts Options
-	n    int
 	res  *Result
 
-	ctxs  []*Context
 	nodes []Node
 	// done is every node's last reported done; notDone counts the false
 	// entries, so termination is an O(1) test. Workers update it only when
@@ -473,22 +489,27 @@ type runState struct {
 	done    []bool
 	notDone atomic.Int64
 
-	// inboxes are the messages delivered this round; next is the buffer
-	// the current round's traffic is staged into. The two swap at every
-	// round boundary. Every non-empty inbox belongs to a node that steps
-	// this round and is length-reset right after it steps, so the staging
-	// buffer is all empty when it comes round again.
-	inboxes  [][]Message
-	next     [][]Message
+	// outboxes[v] is what v returned from its last Round; scatter drops it,
+	// so a one-shot outbox is garbage once delivered.
 	outboxes [][]Message
+	// The inbox arena. This round's inboxes live in arena[cur] and next
+	// round's are scattered into arena[cur^1], so an outbox that aliases an
+	// inbox is never overwritten while it is read. inbox[v] locates v's
+	// inbox in arena[cur]: the size phase sets it for every node on next
+	// round's list, and stepping v empties it. Each arena is sized from its
+	// round's traffic and grows only to the busiest round.
+	arena    [2][]Message
+	cur      int
+	inbox    []span
+	arenaTop atomic.Int64 // next free arena position in the size phase
 
 	// The active set. active lists this round's nodes in ascending ID
-	// order; only they step, send and are merged. The next round's list
-	// is built during the round: keep collects the nodes that did not
+	// order; only they step, send and are delivered from. The next round's
+	// list is built during the round: keep collects the nodes that did not
 	// sleep (already in order, being a subsequence of active), fresh
 	// collects receivers and due timers not already queued, and the two
 	// are merged. queued[v] is set while v is on the list being built and
-	// cleared when v steps; the parallel validate phase sets it with a
+	// cleared when v steps; the validate phase sets it with a
 	// compare-and-swap. wakeAt[v] is v's armed SleepUntil round (0 when
 	// none), which tells live timers from stale ones.
 	active []int32
@@ -500,56 +521,47 @@ type runState struct {
 
 	// The CSR edge index. Directed edge (v -> u) has slot
 	// offsets[v] + rank of u in v's sorted neighbour list; node v owns
-	// slots offsets[v]..offsets[v+1]. inSlot is the reverse view used by
-	// the parallel merge: in-edge i of receiver u (from its i-th smallest
-	// neighbour) is slot inSlot[offsets[u]+i].
-	offsets []int32
-	inSlot  []int32
+	// slots offsets[v]..offsets[v+1]. The in-edge index is the reverse
+	// view: receiver u's in-slots are inSlots[inOffsets[u]:inOffsets[u+1]],
+	// in ascending sender ID. It is built by counting out-slots per
+	// receiver, so it also holds for a Topology whose neighbour lists are
+	// not symmetric; for a symmetric one inOffsets is offsets.
+	offsets   []int32
+	inOffsets []int32
+	inSlots   []int32
 
-	// Flat per-directed-edge tables, indexed by slot and reset via the
-	// touched lists so a quiet round costs O(traffic), not O(m).
-	// NewNetwork caps the bandwidth at math.MaxInt32, so the int32 bit
-	// counts cannot overflow.
-	edgeBits []int32 // bits charged this round
-	edgeMsgs []int32 // messages staged this round
-	basePos  []int32 // parallel merge: first inbox position of the slot
-	cursor   []int32 // parallel merge: next free offset within the slot
-	touched  []int32 // slots charged this round (sequential merge)
+	// Flat per-directed-edge tables, indexed by slot. Validate charges a
+	// slot's bits and counts its messages; size turns each charged slot's
+	// count into the arena position one past its last message, kept in
+	// edgeBits; scatter counts edgeMsgs back down and clears edgeBits with
+	// the slot's last message. Both tables are therefore zero again when a
+	// round ends, at a cost proportional to its traffic. NewNetwork caps
+	// the bandwidth at math.MaxInt32, so the int32 bit counts cannot
+	// overflow.
+	edgeBits []int32
+	edgeMsgs []int32
 
 	round      int
 	anyMessage bool
 
-	// Parallel execution (Options.Workers > 1): a pool of goroutines that
-	// lives for the whole run, per-worker accounting scratch, and the
-	// phase closures built once so rounds allocate nothing.
-	pool        *workerPool
-	scratch     []mergeScratch
-	panics      []any
-	panicked    atomic.Bool
-	mergeFailed atomic.Bool
-	nextNode    atomic.Int64
-	stepJob     func(w int)
-	validateJob func(w int)
-	sizeJob     func(w int)
-	scatterJob  func(w int)
+	// The phases run on pool when Options.Workers > 1 and on the calling
+	// goroutine otherwise. scratch holds each worker's state for the round.
+	pool     *workerPool
+	scratch  []mergeScratch
+	failed   atomic.Bool
+	nextNode atomic.Int64
 	// wokenBufs[w] holds the receivers worker w queued during the
 	// validate phase; they are folded into fresh after the barrier.
 	wokenBufs [][]int32
-	// The parallel round tracer (Options.Trace with Workers > 1): each
-	// worker appends the messages it accepts during the validate phase to
-	// its own reused buffer. A worker's successive claims cover strictly
-	// increasing stretches of the sorted active list and every sender is
-	// claimed by exactly one worker, so each buffer is sorted by sender ID
-	// and the buffers partition the round's senders — emitTrace merges
-	// them back into the exact sequential callback order after the
-	// barrier.
+	// The round tracer (Options.Trace): each worker appends the messages
+	// it accepts during the validate phase to its own reused buffer, which
+	// emitTrace merges back into sender-ID order after the barrier.
 	traceBufs [][]Message
 	traceIdx  []int
-	// asymmetric marks a degenerate Topology whose neighbour lists are not
-	// symmetric; the reverse edge index is unusable then, so the merge
-	// stays on the sequential path.
-	asymmetric bool
 }
+
+// span locates one inbox in the arena.
+type span struct{ start, n int32 }
 
 func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, error) {
 	n := nw.topo.N()
@@ -557,10 +569,9 @@ func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, err
 		opts.MaxRounds = 64*n + 64
 	}
 	st := &runState{
-		nw:   nw,
-		opts: opts,
-		n:    n,
-		res:  &Result{Outputs: make(map[int]any, n)},
+		runInfo: runInfo{n: n, bandwidth: nw.bandwidth},
+		opts:    opts,
+		res:     &Result{Outputs: make(map[int]any, n)},
 	}
 
 	// Contexts are slab-allocated: one backing array instead of n small
@@ -568,9 +579,10 @@ func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, err
 	// weight lists carved out of two shared flat arrays (already sorted by
 	// contract), skipping the per-node copy/sort/Weight-lookup detour of
 	// the generic path.
-	st.ctxs = make([]*Context, n)
-	st.nodes = make([]Node, n)
-	ctxSlab := make([]Context, n)
+	st.ctxs = make([]Context, n)
+	for v := range st.ctxs {
+		st.ctxs[v] = Context{id: v, run: &st.runInfo, input: nw.inputs[v], rngSeed: nw.seed*1_000_003 + int64(v)}
+	}
 	if ix, ok := nw.topo.(IndexedTopology); ok {
 		total := 0
 		for v := 0; v < n; v++ {
@@ -587,16 +599,7 @@ func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, err
 				nbrs[i], wts[i] = ix.Neighbor(v, i)
 			}
 			pos += deg
-			ctxSlab[v] = Context{
-				id:        v,
-				n:         n,
-				bandwidth: nw.bandwidth,
-				neighbors: nbrs,
-				weights:   wts,
-				input:     nw.inputs[v],
-				rngSeed:   nw.seed*1_000_003 + int64(v),
-			}
-			st.ctxs[v] = &ctxSlab[v]
+			st.ctxs[v].neighbors, st.ctxs[v].weights = nbrs, wts
 		}
 	} else {
 		for v := 0; v < n; v++ {
@@ -610,39 +613,54 @@ func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, err
 					weights = append(weights, w)
 				}
 			}
-			ctxSlab[v] = Context{
-				id:        v,
-				n:         n,
-				bandwidth: nw.bandwidth,
-				neighbors: neighbors,
-				weights:   weights,
-				input:     nw.inputs[v],
-				rngSeed:   nw.seed*1_000_003 + int64(v),
-			}
-			st.ctxs[v] = &ctxSlab[v]
+			st.ctxs[v].neighbors, st.ctxs[v].weights = neighbors, weights
 		}
 	}
+	st.nodes = make([]Node, n)
 	for v := 0; v < n; v++ {
-		st.nodes[v] = factory(st.ctxs[v])
+		st.nodes[v] = factory(&st.ctxs[v])
 		if st.nodes[v] == nil {
 			return nil, fmt.Errorf("congest: factory returned nil node for id %d", v)
 		}
 	}
 	for v := 0; v < n; v++ {
-		st.nodes[v].Init(st.ctxs[v])
+		st.nodes[v].Init(&st.ctxs[v])
 	}
 
-	// CSR edge index over the contexts' sorted neighbour lists.
+	// CSR edge index over the contexts' sorted neighbour lists, and its
+	// in-edge view by a counting pass: count each receiver's in-slots into
+	// inOffsets[u+1], prefix-sum, then place the slots with inOffsets[u]
+	// as the cursor — senders in ascending order, so each receiver's
+	// in-slots come out sorted by sender — and shift the cursors, which
+	// now hold the ends, back into starts.
 	st.offsets = make([]int32, n+1)
-	for v := 0; v < n; v++ {
+	st.inOffsets = make([]int32, n+1)
+	for v := range st.ctxs {
 		st.offsets[v+1] = st.offsets[v] + int32(len(st.ctxs[v].neighbors))
+		for _, u := range st.ctxs[v].neighbors {
+			st.inOffsets[u+1]++
+		}
 	}
 	slots := st.offsets[n]
+	for u := 0; u < n; u++ {
+		st.inOffsets[u+1] += st.inOffsets[u]
+	}
+	st.inSlots = make([]int32, slots)
+	for v := range st.ctxs {
+		for i, u := range st.ctxs[v].neighbors {
+			st.inSlots[st.inOffsets[u]] = st.offsets[v] + int32(i)
+			st.inOffsets[u]++
+		}
+	}
+	copy(st.inOffsets[1:], st.inOffsets[:n])
+	st.inOffsets[0] = 0
+	if slices.Equal(st.inOffsets, st.offsets) {
+		st.inOffsets = st.offsets
+	}
 	st.edgeBits = make([]int32, slots)
 	st.edgeMsgs = make([]int32, slots)
 
-	st.inboxes = make([][]Message, n)
-	st.next = make([][]Message, n)
+	st.inbox = make([]span, n)
 	st.outboxes = make([][]Message, n)
 	st.done = make([]bool, n)
 	st.notDone.Store(int64(n))
@@ -656,32 +674,11 @@ func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, err
 	st.queued = make([]uint32, n)
 	st.wakeAt = make([]int, n)
 
-	workers := min(opts.Workers, n)
-	if workers <= 1 {
-		return st, nil
+	workers := max(1, min(opts.Workers, n))
+	if workers > 1 {
+		st.pool = newWorkerPool(st, workers)
 	}
-	// The parallel merge's reverse edge index and delivery tables; the
-	// sequential merge needs neither.
-	st.inSlot = make([]int32, slots)
-	for u := 0; u < n; u++ {
-		for i, v := range st.ctxs[u].neighbors {
-			r := st.ctxs[v].neighborRank(u)
-			if r < 0 {
-				st.asymmetric = true
-				continue
-			}
-			st.inSlot[st.offsets[u]+int32(i)] = st.offsets[v] + int32(r)
-		}
-	}
-	st.basePos = make([]int32, slots)
-	st.cursor = make([]int32, slots)
-	st.pool = newWorkerPool(workers)
 	st.scratch = make([]mergeScratch, workers)
-	st.panics = make([]any, n)
-	st.stepJob = st.stepWorker
-	st.validateJob = st.validateWorker
-	st.sizeJob = st.sizeWorker
-	st.scatterJob = st.scatterWorker
 	st.wokenBufs = make([][]int32, workers)
 	if opts.Trace != nil {
 		st.traceBufs = make([][]Message, workers)
@@ -690,7 +687,7 @@ func newRunState(nw *Network, factory NodeFactory, opts Options) (*runState, err
 	return st, nil
 }
 
-// close releases the worker pool; it is safe on the sequential path.
+// close releases the worker pool, if the run has one.
 func (st *runState) close() {
 	if st.pool != nil {
 		st.pool.close()
@@ -711,7 +708,6 @@ func (st *runState) run() (*Result, error) {
 			st.collectOutputs()
 			return res, err
 		}
-		st.inboxes, st.next = st.next, st.inboxes
 		st.active, st.keep = st.keep, st.active[:0]
 		if st.notDone.Load() == 0 && !st.anyMessage {
 			res.Terminated = true
@@ -737,43 +733,51 @@ func (st *runState) collectOutputs() {
 	}
 }
 
-// step invokes Round on every active node for the given round, filling
-// outboxes and done.
-func (st *runState) step(round int) {
-	st.round = round
+// phase runs job on every worker, or on the calling goroutine when the run
+// has one worker, with the shared claim counter reset.
+func (st *runState) phase(job phaseJob) {
+	st.nextNode.Store(0)
 	if st.pool == nil {
-		for _, v := range st.active {
-			if p := st.stepOne(int(v)); p != nil {
-				panic(panicText(int(v), round, p))
-			}
-		}
+		job(st, 0)
 		return
 	}
-	st.panicked.Store(false)
-	st.nextNode.Store(0)
-	st.pool.run(st.stepJob)
-	if st.panicked.Load() {
-		// Re-raise the panic of the lowest-ID panicking node, so a failing
-		// run reports identically whatever the worker count or scheduling.
-		for _, v := range st.active {
-			if p := st.panics[v]; p != nil {
-				panic(panicText(int(v), round, p))
-			}
+	st.pool.run(job)
+}
+
+// step invokes Round on every active node for the given round, filling
+// outboxes and done. A node panic is re-raised after the phase, as the
+// panic of the lowest-ID panicking node, so a failing run reports
+// identically whatever the worker count or scheduling.
+func (st *runState) step(round int) {
+	st.round = round
+	clear(st.scratch)
+	st.phase((*runState).stepWorker)
+	first := -1
+	var p any
+	for w := range st.scratch {
+		if sc := &st.scratch[w]; sc.panicked != nil && (first < 0 || sc.panicNode < first) {
+			first, p = sc.panicNode, sc.panicked
 		}
+	}
+	if first >= 0 {
+		panic(panicText(first, round, p))
 	}
 }
 
 // stepOne runs one node's Round and returns its panic value, if any, so the
 // caller can surface it deterministically. It takes the node off the list
-// being built, clears its sleep hint before the call and its inbox after.
+// being built, clears its sleep hint before the call and empties its inbox
+// after.
 func (st *runState) stepOne(v int) (panicked any) {
 	defer func() { panicked = recover() }()
 	st.queued[v] = 0
-	ctx := st.ctxs[v]
+	ctx := &st.ctxs[v]
 	ctx.wake = 0
-	out, done := st.nodes[v].Round(ctx, st.round, st.inboxes[v])
+	in := st.inbox[v]
+	end := in.start + in.n
+	out, done := st.nodes[v].Round(ctx, st.round, st.arena[st.cur][in.start:end:end])
 	st.outboxes[v] = out
-	st.inboxes[v] = st.inboxes[v][:0]
+	st.inbox[v] = span{}
 	if done != st.done[v] {
 		st.done[v] = done
 		if done {
@@ -807,28 +811,84 @@ func (st *runState) settle(round int) {
 	}
 }
 
-// merge validates, accounts and delivers the round's traffic, then builds
-// next round's active list. The parallel path requires the reverse edge
-// index, so asymmetric topologies stay sequential; tracing runs on either
-// path (see the parallel round tracer in parallel.go).
+// merge validates, accounts and delivers the round's traffic and builds
+// next round's active list. Its phases are described in parallel.go.
 func (st *runState) merge(round int) error {
-	st.anyMessage = false
-	if st.pool == nil || st.asymmetric {
-		if err := st.mergeSeq(round); err != nil {
-			return err
-		}
-		st.buildNext(round)
-		return nil
+	for w := range st.traceBufs {
+		st.traceBufs[w] = st.traceBufs[w][:0]
 	}
-	return st.mergePar(round)
+	st.failed.Store(false)
+	st.phase((*runState).validateWorker)
+	if st.failed.Load() {
+		return st.fail(round)
+	}
+
+	res := st.res
+	var traffic RoundTraffic
+	for w := range st.scratch {
+		sc := &st.scratch[w]
+		st.account(sc)
+		traffic.Messages += sc.totalMessages
+		traffic.QuantumBits += sc.quantumBits
+		traffic.ClassicalBits += sc.classicalBits
+	}
+	if st.opts.PerRound {
+		res.PerRound = append(res.PerRound, traffic)
+	}
+	st.anyMessage = traffic.Messages > 0
+	if st.traceBufs != nil {
+		st.emitTrace(round)
+	}
+	for w, woken := range st.wokenBufs {
+		st.fresh = append(st.fresh, woken...)
+		st.wokenBufs[w] = woken[:0]
+	}
+	st.buildNext(round)
+	if st.anyMessage {
+		next := &st.arena[st.cur^1]
+		*next = slices.Grow((*next)[:0], traffic.Messages)[:traffic.Messages]
+		st.arenaTop.Store(0)
+		st.phase((*runState).sizeWorker)
+		st.phase((*runState).scatterWorker)
+		st.cur ^= 1
+	}
+	return nil
 }
 
-// queue puts receiver u on next round's list unless it is already there.
-func (st *runState) queue(u int) {
-	if st.queued[u] == 0 {
-		st.queued[u] = 1
-		st.fresh = append(st.fresh, int32(u))
+// account folds one worker's accepted traffic into the Result.
+func (st *runState) account(sc *mergeScratch) {
+	res := st.res
+	res.TotalMessages += sc.totalMessages
+	res.TotalBits += sc.totalBits
+	res.QuantumBits += sc.quantumBits
+	res.MaxEdgeBitsPerRound = max(res.MaxEdgeBitsPerRound, sc.maxEdgeBits)
+}
+
+// fail ends a round whose traffic broke the model. The Result must carry
+// exactly the messages before the first bad one in sender order, which is
+// what a single worker's validate pass accounts before it stops. With
+// several workers each may have charged messages beyond another's failure,
+// so the round's tables are wiped and the same validate pass re-run on the
+// calling goroutine.
+func (st *runState) fail(round int) error {
+	if st.pool != nil {
+		for _, v := range st.active {
+			clear(st.edgeBits[st.offsets[v]:st.offsets[v+1]])
+			clear(st.edgeMsgs[st.offsets[v]:st.offsets[v+1]])
+		}
+		clear(st.scratch)
+		for w := range st.traceBufs {
+			st.traceBufs[w] = st.traceBufs[w][:0]
+		}
+		st.failed.Store(false)
+		st.nextNode.Store(0)
+		st.validateWorker(0)
 	}
+	st.account(&st.scratch[0])
+	if st.traceBufs != nil {
+		st.emitTrace(round)
+	}
+	return st.scratch[0].err
 }
 
 // buildNext completes next round's active list in keep: it adds the
@@ -841,7 +901,10 @@ func (st *runState) buildNext(round int) {
 		t := st.timers.pop()
 		if st.wakeAt[t.v] == t.at {
 			st.wakeAt[t.v] = 0
-			st.queue(int(t.v))
+			if st.queued[t.v] == 0 {
+				st.queued[t.v] = 1
+				st.fresh = append(st.fresh, t.v)
+			}
 		}
 	}
 	if len(st.fresh) == 0 {
@@ -860,78 +923,6 @@ func (st *runState) buildNext(round int) {
 		}
 	}
 	st.fresh = st.fresh[:0]
-}
-
-// mergeSeq is the sequential merge: one pass over the active senders in ID
-// order, appending into the reused next-inbox buffers and queuing each
-// receiver. It is also the reference semantics the parallel path replays on
-// its (cold) error paths, so the two return bit-for-bit identical partial
-// results.
-func (st *runState) mergeSeq(round int) error {
-	res := st.res
-	bandwidth := st.nw.bandwidth
-	var traffic RoundTraffic
-	for _, v32 := range st.active {
-		v := int(v32)
-		ctx := st.ctxs[v]
-		base := st.offsets[v]
-		for _, msg := range st.outboxes[v] {
-			msg.From = v
-			r := ctx.neighborRank(msg.To)
-			if r < 0 {
-				st.resetEdgeTables()
-				return fmt.Errorf("%w: node %d -> %d in round %d", ErrNotNeighbor, v, msg.To, round)
-			}
-			if msg.Bits < 0 {
-				msg.Bits = 0
-			}
-			slot := base + int32(r)
-			if st.edgeMsgs[slot] == 0 {
-				st.touched = append(st.touched, slot)
-			}
-			total := int(st.edgeBits[slot]) + msg.Bits
-			if total > bandwidth {
-				st.resetEdgeTables()
-				return fmt.Errorf("%w: node %d -> %d sent %d bits in round %d (B=%d)",
-					ErrBandwidthExceeded, v, msg.To, total, round, bandwidth)
-			}
-			st.edgeBits[slot] = int32(total)
-			st.edgeMsgs[slot]++
-			st.next[msg.To] = append(st.next[msg.To], msg)
-			st.queue(msg.To)
-			traffic.Messages++
-			res.TotalMessages++
-			res.TotalBits += int64(msg.Bits)
-			if msg.Quantum {
-				res.QuantumBits += int64(msg.Bits)
-				traffic.QuantumBits += int64(msg.Bits)
-			} else {
-				traffic.ClassicalBits += int64(msg.Bits)
-			}
-			st.anyMessage = true
-			if st.opts.Trace != nil {
-				st.opts.Trace(round, msg)
-			}
-			if total > res.MaxEdgeBitsPerRound {
-				res.MaxEdgeBitsPerRound = total
-			}
-		}
-	}
-	if st.opts.PerRound {
-		res.PerRound = append(res.PerRound, traffic)
-	}
-	st.resetEdgeTables()
-	return nil
-}
-
-// resetEdgeTables zeroes only the slots the round actually charged, so the
-// per-round cost tracks traffic rather than graph size.
-func (st *runState) resetEdgeTables() {
-	for _, slot := range st.touched {
-		st.edgeBits[slot] = 0
-		st.edgeMsgs[slot] = 0
-	}
-	st.touched = st.touched[:0]
 }
 
 // timer is an armed SleepUntil: node v is due back in round at.

@@ -25,7 +25,7 @@ func (f *floodMaxNode) Init(ctx *Context) {
 
 func (f *floodMaxNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	for _, m := range inbox {
-		if v, ok := m.Payload.(int); ok && v > f.best {
+		if v, ok := ctx.Payload(m).(int); ok && v > f.best {
 			f.best = v
 			f.changed = true
 		}
@@ -33,7 +33,7 @@ func (f *floodMaxNode) Round(ctx *Context, round int, inbox []Message) ([]Messag
 	if f.changed {
 		f.changed = false
 		f.quiet = 0
-		return Broadcast(ctx.Neighbors(), f.best, BitsForID(ctx.N())), false
+		return Broadcast(ctx, ctx.Neighbors(), f.best, BitsForID(ctx.N())), false
 	}
 	f.quiet++
 	ctx.SetOutput(f.best)
@@ -96,7 +96,7 @@ func (oversendNode) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 	if len(nbrs) == 0 {
 		return nil, true
 	}
-	return []Message{NewMessage(nbrs[0], 0, ctx.Bandwidth()+1)}, false
+	return []Message{NewMessage(ctx, nbrs[0], 0, ctx.Bandwidth()+1)}, false
 }
 
 func TestBandwidthEnforced(t *testing.T) {
@@ -113,7 +113,7 @@ type strangerNode struct{}
 func (strangerNode) Init(*Context) {}
 func (strangerNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	target := (ctx.ID() + 2) % ctx.N()
-	return []Message{NewMessage(target, 1, 1)}, false
+	return []Message{NewMessage(ctx, target, 1, 1)}, false
 }
 
 func TestNonNeighborRejected(t *testing.T) {
@@ -269,9 +269,18 @@ func TestBitsHelpers(t *testing.T) {
 }
 
 func TestBroadcastHelper(t *testing.T) {
-	msgs := Broadcast([]int{3, 5}, "x", 4)
+	info := &runInfo{n: 6, bandwidth: 8, ctxs: make([]Context, 6)}
+	for v := range info.ctxs {
+		info.ctxs[v] = Context{id: v, run: info}
+	}
+	ctx, other := &info.ctxs[2], &info.ctxs[4]
+	msgs := Broadcast(ctx, []int{3, 5}, "x", 4)
 	if len(msgs) != 2 || msgs[0].To != 3 || msgs[1].To != 5 || msgs[0].Bits != 4 {
 		t.Fatalf("broadcast = %+v", msgs)
+	}
+	// The payload is boxed once, and any node resolves it.
+	if msgs[0].W0 != msgs[1].W0 || other.Payload(msgs[1]) != "x" {
+		t.Fatalf("broadcast boxed %+v, resolving to %v", msgs, other.Payload(msgs[1]))
 	}
 }
 

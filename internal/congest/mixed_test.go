@@ -39,9 +39,9 @@ func (m *mixedPayloadNode) Round(ctx *Context, round int, inbox []Message) ([]Me
 		case msg.Kind == kindMixedFlags:
 			m.digest = m.digest*31 + WordFromBool(msg.Bool0()) + 2*WordFromBool(msg.Bool1())
 		case msg.Quantum:
-			m.digest = m.digest*31 + uint64(msg.Payload.(int))
+			m.digest = m.digest*31 + uint64(ctx.Payload(*msg).(int))
 		default:
-			b := msg.Payload.(mixedBoxed)
+			b := ctx.Payload(*msg).(mixedBoxed)
 			m.digest = m.digest*31 + uint64(b.Round)<<4 + uint64(b.Hops)
 		}
 	}
@@ -59,18 +59,21 @@ func (m *mixedPayloadNode) Round(ctx *Context, round int, inbox []Message) ([]Me
 			out = AppendWordMessage(out, u, kindMixedFlags,
 				WordFromBool(round%2 == 0), WordFromBool(ctx.ID() < u), 2)
 		case 2:
-			out = append(out, NewQubitMessage(u, 3+ctx.Rand().Intn(5), 3+round%3))
+			out = append(out, NewQubitMessage(ctx, u, 3+ctx.Rand().Intn(5), 3+round%3))
 		default:
-			out = AppendMessage(out, u, mixedBoxed{Round: round, Hops: ctx.ID() % 5}, 4+round%5)
+			out = AppendMessage(ctx, out, u, mixedBoxed{Round: round, Hops: ctx.ID() % 5}, 4+round%5)
 		}
 	}
 	return out, false
 }
 
 // runMixed executes the mixed workload and returns the Result plus the full
-// traced message stream — Kind, W0/W1, Payload and Quantum included, since
-// both merge paths run the same program and must agree on the representation
-// itself, not just the accounting projection.
+// traced message stream — Kind, W0/W1 and Quantum included, since every
+// worker count runs the same program and must agree on the representation
+// itself, not just the accounting projection. A boxed message is traced
+// with its handle (W0) and owner (W1); that its content arrives intact is
+// checked by the receivers' digests, which resolve every boxed message
+// through ctx.Payload and end up in the outputs.
 func runMixed(t *testing.T, workers int) (*Result, []traceEvent) {
 	t.Helper()
 	nw, err := NewNetwork(ring(41), 64)
@@ -97,7 +100,7 @@ func runMixed(t *testing.T, workers int) (*Result, []traceEvent) {
 // a workload that interleaves word-encoded, boxed and quantum messages in the
 // same rounds: the full Result (rounds, bit and message totals, the quantum
 // split, per-round traffic, the digest outputs) and the complete trace stream
-// are identical whether the merge runs sequentially or on a worker pool.
+// are identical whether the round runs on one worker or on a pool.
 func TestMixedPayloadsIdenticalAcrossWorkers(t *testing.T) {
 	seqRes, seqEvents := runMixed(t, 0)
 

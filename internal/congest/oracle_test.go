@@ -19,15 +19,23 @@ import (
 // map of per-edge bit counts, and delivered in round r+1 into fresh
 // inboxes. Network.Run must agree with it on the Result, the error text and
 // the trace stream.
+//
+// Boxed contents are tracked the naive way too: the oracle captures each
+// boxed message's content from its sender as it is sent, in a map keyed by
+// (owner, handle), and after every round checks that each delivered boxed
+// message still resolves to that content through the receiver's
+// ctx.Payload, however many entries the owners have added since.
 func oracleRun(nw *Network, factory NodeFactory, opts Options) (*Result, error) {
 	n := nw.topo.N()
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = 64*n + 64
 	}
+	info := &runInfo{n: n, bandwidth: nw.bandwidth, ctxs: make([]Context, n)}
 	ctxs := make([]*Context, n)
 	nodes := make([]Node, n)
 	for v := 0; v < n; v++ {
-		ctx := &Context{id: v, n: n, bandwidth: nw.bandwidth, input: nw.inputs[v], rngSeed: nw.seed*1_000_003 + int64(v)}
+		ctx := &info.ctxs[v]
+		*ctx = Context{id: v, run: info, input: nw.inputs[v], rngSeed: nw.seed*1_000_003 + int64(v)}
 		nbrs := nw.topo.Neighbors(v)
 		sort.Ints(nbrs)
 		for _, u := range nbrs {
@@ -53,6 +61,7 @@ func oracleRun(nw *Network, factory NodeFactory, opts Options) (*Result, error) 
 	}
 
 	inboxes := map[int][]Message{}
+	sent := map[[2]uint64]any{}
 	for round := 1; round <= opts.MaxRounds; round++ {
 		if opts.Cancel != nil && opts.Cancel() {
 			return fail(fmt.Errorf("%w: before round %d", ErrCancelled, round))
@@ -64,6 +73,18 @@ func oracleRun(nw *Network, factory NodeFactory, opts Options) (*Result, error) 
 			out, done := nodes[v].Round(ctxs[v], round, inboxes[v])
 			outboxes[v] = slices.Clone(out)
 			allDone = allDone && done
+			for _, msg := range out {
+				if key := [2]uint64{msg.W1, msg.W0}; msg.Kind == KindBoxed && msg.W0 != 0 && sent[key] == nil {
+					sent[key] = ctxs[v].Payload(msg)
+				}
+			}
+		}
+		for u, inbox := range inboxes {
+			for _, msg := range inbox {
+				if want, got := sent[[2]uint64{msg.W1, msg.W0}], ctxs[u].Payload(msg); !reflect.DeepEqual(got, want) {
+					return fail(fmt.Errorf("oracle: boxed message %d -> %d resolves to %v, sent %v", msg.From, u, got, want))
+				}
+			}
 		}
 
 		edgeBits := map[[2]int]int{}
@@ -71,18 +92,19 @@ func oracleRun(nw *Network, factory NodeFactory, opts Options) (*Result, error) 
 		var traffic RoundTraffic
 		for v := 0; v < n; v++ {
 			for _, msg := range outboxes[v] {
-				msg.From = v
-				if !slices.Contains(ctxs[v].neighbors, msg.To) {
+				msg.From = int32(v)
+				to := int(msg.To)
+				if !slices.Contains(ctxs[v].neighbors, to) {
 					return fail(fmt.Errorf("%w: node %d -> %d in round %d", ErrNotNeighbor, v, msg.To, round))
 				}
 				msg.Bits = max(msg.Bits, 0)
-				edge := [2]int{v, msg.To}
-				edgeBits[edge] += msg.Bits
+				edge := [2]int{v, to}
+				edgeBits[edge] += int(msg.Bits)
 				if edgeBits[edge] > nw.bandwidth {
 					return fail(fmt.Errorf("%w: node %d -> %d sent %d bits in round %d (B=%d)",
 						ErrBandwidthExceeded, v, msg.To, edgeBits[edge], round, nw.bandwidth))
 				}
-				next[msg.To] = append(next[msg.To], msg)
+				next[to] = append(next[to], msg)
 				traffic.Messages++
 				res.TotalMessages++
 				res.TotalBits += int64(msg.Bits)
@@ -154,7 +176,7 @@ func (s *scriptNode) Round(ctx *Context, round int, inbox []Message) ([]Message,
 	}
 	s.wakeAt = 0
 	for _, m := range inbox {
-		p, _ := m.Payload.(int)
+		p, _ := ctx.Payload(m).(int)
 		s.heard = mix(s.heard, uint64(m.From), uint64(m.Kind), m.W0, uint64(m.Bits), uint64(p))
 	}
 	h := mix(s.seed, uint64(ctx.ID()), uint64(round), s.heard, uint64(ctx.Rand().Intn(1000)))
@@ -177,9 +199,9 @@ func (s *scriptNode) Round(ctx *Context, round int, inbox []Message) ([]Message,
 		bits := int(g>>8) % (share + 1)
 		switch g >> 16 % 5 {
 		case 0:
-			s.out = append(s.out, NewMessage(to, int(g>>24%100), bits))
+			s.out = append(s.out, NewMessage(ctx, to, int(g>>24%100), bits))
 		case 1:
-			s.out = append(s.out, NewQubitMessage(to, nil, bits))
+			s.out = append(s.out, NewQubitMessage(ctx, to, nil, bits))
 		case 2:
 			s.out = append(s.out, NewWordMessage(to, 1, g, 0, -1))
 		default:
@@ -188,12 +210,12 @@ func (s *scriptNode) Round(ctx *Context, round int, inbox []Message) ([]Message,
 	}
 	if s.faulty && h%53 == 0 {
 		if to := (ctx.ID() + 2) % ctx.N(); !ctx.IsNeighbor(to) {
-			s.out = append(s.out, NewMessage(to, 0, 1))
+			s.out = append(s.out, NewMessage(ctx, to, 0, 1))
 		}
 	}
 	if s.faulty && h%59 == 0 && ctx.Degree() > 0 {
 		to := ctx.NeighborAt(0)
-		s.out = append(s.out, NewMessage(to, 0, share), NewMessage(to, 0, share), NewMessage(to, 0, share), NewMessage(to, 0, share))
+		s.out = append(s.out, NewMessage(ctx, to, 0, share), NewMessage(ctx, to, 0, share), NewMessage(ctx, to, 0, share), NewMessage(ctx, to, 0, share))
 	}
 
 	switch h >> 40 % 7 {
@@ -217,8 +239,8 @@ func (s *scriptNode) Round(ctx *Context, round int, inbox []Message) ([]Message,
 }
 
 // adjTopo is an explicit adjacency-list topology with unit weights. Its
-// lists need not be symmetric, which exercises the sequential fallback of
-// the parallel path.
+// lists need not be symmetric, which exercises an in-edge index that
+// differs from the out-edge one.
 type adjTopo [][]int
 
 func (a adjTopo) N() int                { return len(a) }
@@ -324,11 +346,11 @@ func checkAgainstOracle(t *testing.T, seed uint64) (outcome string) {
 }
 
 // TestRoundLoopMatchesOracle is the differential check of the optimised
-// round loop (active set, timers, CSR tables, parallel merge) against
-// oracleRun over small random topologies, symmetric and not, and scripted
-// programs that send, sleep, set alarms, overrun B, address non-neighbours,
-// finish and get cancelled. The mix of outcomes is asserted too, so the
-// seeds keep covering every exit path.
+// round loop (active set, timers, CSR tables, the delivery arena, worker
+// pools) against oracleRun over small random topologies, symmetric and
+// not, and scripted programs that send, sleep, set alarms, overrun B,
+// address non-neighbours, finish and get cancelled. The mix of outcomes is
+// asserted too, so the seeds keep covering every exit path.
 func TestRoundLoopMatchesOracle(t *testing.T) {
 	seeds := 400
 	if testing.Short() {

@@ -19,7 +19,7 @@ func (m *mixerNode) Init(ctx *Context) { m.sum = ctx.ID() }
 
 func (m *mixerNode) Round(ctx *Context, round int, inbox []Message) ([]Message, bool) {
 	for _, msg := range inbox {
-		if v, ok := msg.Payload.(int); ok {
+		if v, ok := ctx.Payload(msg).(int); ok {
 			m.sum += v
 		}
 	}
@@ -28,7 +28,7 @@ func (m *mixerNode) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 		ctx.SetOutput(m.sum)
 		return nil, true
 	}
-	return Broadcast(ctx.Neighbors(), m.sum%1024, 10), false
+	return Broadcast(ctx, ctx.Neighbors(), m.sum%1024, 10), false
 }
 
 // ring builds a cycle topology without importing internal/graph (which
@@ -90,9 +90,9 @@ func (h *hybridNode) Round(ctx *Context, round int, inbox []Message) ([]Message,
 	for i := 0; i < ctx.Degree(); i++ {
 		u := ctx.NeighborAt(i)
 		if (ctx.ID()+u+round)%3 == 0 {
-			out = append(out, NewQubitMessage(u, round, 3+ctx.Rand().Intn(3)))
+			out = append(out, NewQubitMessage(ctx, u, round, 3+ctx.Rand().Intn(3)))
 		} else {
-			out = append(out, NewMessage(u, round, 2+(ctx.ID()+round)%5))
+			out = append(out, NewMessage(ctx, u, round, 2+(ctx.ID()+round)%5))
 		}
 	}
 	return out, false
@@ -101,8 +101,8 @@ func (h *hybridNode) Round(ctx *Context, round int, inbox []Message) ([]Message,
 func TestWorkersIdenticalFullResult(t *testing.T) {
 	// Bit-for-bit equality of the whole Result — rounds, message and bit
 	// totals, the quantum split, the per-round traffic breakdown, the
-	// per-edge maximum and the outputs map — between the sequential merge
-	// and the pooled parallel merge.
+	// per-edge maximum and the outputs map — between one worker and a
+	// pool.
 	run := func(workers int) *Result {
 		nw, err := NewNetwork(ring(53), 64)
 		if err != nil {
@@ -153,21 +153,21 @@ func (r *roguePeer) Round(ctx *Context, round int, inbox []Message) ([]Message, 
 	}
 	if r.rogue && round == 3 {
 		if r.overrun {
-			return []Message{NewMessage(r.partner, 0, 9), NewMessage(r.partner, 0, 9)}, false
+			return []Message{NewMessage(ctx, r.partner, 0, 9), NewMessage(ctx, r.partner, 0, 9)}, false
 		}
-		return []Message{NewMessage(r.stranger, 0, 1)}, false
+		return []Message{NewMessage(ctx, r.stranger, 0, 1)}, false
 	}
 	if round >= 5 {
 		return nil, true
 	}
-	return []Message{NewMessage(r.partner, round, 4)}, false
+	return []Message{NewMessage(ctx, r.partner, round, 4)}, false
 }
 
 func TestErrorPathsIdenticalAcrossWorkers(t *testing.T) {
-	// A validation failure makes the parallel merge abandon the round and
-	// replay it sequentially, so the partial Result and the error text must
-	// match the sequential run exactly — and both must still collect the
-	// outputs nodes had recorded before the violation.
+	// A validation failure under several workers makes the round wipe its
+	// tables and re-validate on one goroutine, so the partial Result and
+	// the error text must match the one-worker run exactly — and both must
+	// still collect the outputs nodes had recorded before the violation.
 	for _, overrun := range []bool{false, true} {
 		run := func(workers int) (*Result, error) {
 			nw, err := NewNetwork(ring(32), 16)
@@ -218,7 +218,7 @@ func (f *fuseNode) Round(ctx *Context, round int, inbox []Message) ([]Message, b
 	if round >= 3 {
 		return nil, true
 	}
-	return Broadcast(ctx.Neighbors(), 0, 1), false
+	return Broadcast(ctx, ctx.Neighbors(), 0, 1), false
 }
 
 func TestNodePanicsPropagateDeterministically(t *testing.T) {

@@ -19,8 +19,8 @@ func (m *mixedTrafficNode) Round(ctx *Context, round int, inbox []Message) ([]Me
 		return nil, true
 	}
 	return []Message{
-		NewMessage(1, "c", 3),
-		NewQubitMessage(1, "q", 2),
+		NewMessage(ctx, 1, "c", 3),
+		NewQubitMessage(ctx, 1, "q", 2),
 	}, round >= m.rounds
 }
 

@@ -68,9 +68,9 @@ func TestTraceIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestTraceDoesNotForceSequentialMerge is the white-box check that the old
-// restriction is really gone: a traced run with Workers > 1 arms the
-// per-worker trace buffers and keeps the pooled merge path.
+// TestTraceDoesNotForceSequentialMerge is the white-box check that tracing
+// keeps a run on its worker pool: a traced run with Workers > 1 arms one
+// trace buffer per worker and builds the pool.
 func TestTraceDoesNotForceSequentialMerge(t *testing.T) {
 	nw, err := NewNetwork(ring(16), 16)
 	if err != nil {
@@ -84,9 +84,6 @@ func TestTraceDoesNotForceSequentialMerge(t *testing.T) {
 	defer st.close()
 	if st.pool == nil {
 		t.Fatal("Workers=4 did not build a worker pool")
-	}
-	if st.asymmetric {
-		t.Fatal("ring topology flagged asymmetric")
 	}
 	if len(st.traceBufs) != 4 || len(st.traceIdx) != 4 {
 		t.Fatalf("trace buffers not armed: %d bufs, %d idx", len(st.traceBufs), len(st.traceIdx))
@@ -127,10 +124,10 @@ func TestEmitTraceFoldOrder(t *testing.T) {
 }
 
 // TestTraceErrorPathsIdenticalAcrossWorkers extends the cold-path guarantee
-// to the tracer: when a round fails validation the parallel merge discards
-// its half-recorded buffers and replays sequentially, so the traced event
-// stream up to and including the failing round matches the sequential run
-// byte for byte.
+// to the tracer: when a round fails validation under several workers, the
+// round discards their half-recorded buffers and re-validates on one
+// goroutine, so the traced event stream up to and including the failing
+// round matches the one-worker run byte for byte.
 func TestTraceErrorPathsIdenticalAcrossWorkers(t *testing.T) {
 	for _, overrun := range []bool{false, true} {
 		run := func(workers int) ([]traceEvent, error) {
@@ -171,7 +168,7 @@ func TestTraceErrorPathsIdenticalAcrossWorkers(t *testing.T) {
 
 // TestTraceSteadyStateAllocFree extends the steady-state guarantee to traced
 // runs: once the per-worker trace buffers have grown to the workload's
-// per-round traffic, extra rounds allocate nothing on either merge path.
+// per-round traffic, extra rounds allocate nothing at one worker or four.
 func TestTraceSteadyStateAllocFree(t *testing.T) {
 	topo := graph.Grid(24, 24)
 	const short, long = 8, 104

@@ -165,10 +165,10 @@ func (p *pathNode) Round(ctx *congest.Context, round int, inbox []congest.Messag
 		switch {
 		case m.Kind == kindChunk:
 			if id == last {
-				p.received = appendUnpacked(p.received, m.W0, m.W1, m.Bits)
+				p.received = appendUnpacked(p.received, m.W0, m.W1, int(m.Bits))
 			} else {
 				// Forward the stream rightwards, one hop per round.
-				out = congest.AppendWordMessage(out, id+1, kindChunk, m.W0, m.W1, m.Bits)
+				out = congest.AppendWordMessage(out, id+1, kindChunk, m.W0, m.W1, int(m.Bits))
 			}
 		case m.Kind == kindAnswer:
 			p.answered = true
@@ -177,11 +177,16 @@ func (p *pathNode) Round(ctx *congest.Context, round int, inbox []congest.Messag
 				out = congest.AppendWordMessage(out, id-1, kindAnswer, m.W0, 0, congest.BitsForBool)
 			}
 		default:
-			if payload, ok := m.Payload.(chunkMsg); ok {
+			if payload, ok := ctx.Payload(*m).(chunkMsg); ok {
 				if id == last {
 					p.received = append(p.received, payload.Bits...)
 				} else {
-					out = congest.AppendMessage(out, id+1, payload, len(payload.Bits))
+					// Forward the boxed chunk as it is: its content stays
+					// in the left endpoint's box table, so the hop boxes
+					// nothing.
+					fwd := *m
+					fwd.To = int32(id + 1)
+					out = append(out, fwd)
 				}
 			}
 		}
@@ -199,7 +204,7 @@ func (p *pathNode) Round(ctx *congest.Context, round int, inbox []congest.Messag
 			w0, w1 := packChunk(chunk)
 			out = congest.AppendWordMessage(out, 1, kindChunk, w0, w1, len(chunk))
 		} else {
-			out = congest.AppendMessage(out, 1, chunkMsg{Bits: chunk}, len(chunk))
+			out = congest.AppendMessage(ctx, out, 1, chunkMsg{Bits: chunk}, len(chunk))
 		}
 	}
 

@@ -11,11 +11,12 @@ import (
 
 // Word-encoding equivalence pin: the migrated pipelined protocol must
 // produce a Result bit-for-bit identical to the pre-refactor boxed
-// implementation — same rounds, bits, outputs and trace stream — on
-// sequential and parallel merges alike, across bandwidths that exercise
-// single-bit chunks (B=1), word-packed chunks (B=32, B=128) and the boxed
-// fallback for chunks wider than two payload words (B=200). The boxed*
-// types below are the pre-refactor program, kept verbatim.
+// implementation — same rounds, bits, outputs and trace stream — at every
+// worker count, across bandwidths that exercise single-bit chunks (B=1),
+// word-packed chunks (B=32, B=128) and the boxed fallback for chunks wider
+// than two payload words (B=200). The boxed*
+// types below are the pre-refactor program, changed only to the ctx-first
+// boxed constructors and ctx.Payload.
 
 type boxedAnswerMsg struct{ Disjoint bool }
 
@@ -36,18 +37,18 @@ func (p *boxedPathNode) Round(ctx *congest.Context, round int, inbox []congest.M
 	var out []congest.Message
 
 	for _, m := range inbox {
-		switch payload := m.Payload.(type) {
+		switch payload := ctx.Payload(m).(type) {
 		case chunkMsg:
 			if id == last {
 				p.received = append(p.received, payload.Bits...)
 			} else {
-				out = append(out, congest.NewMessage(id+1, payload, len(payload.Bits)))
+				out = append(out, congest.NewMessage(ctx, id+1, payload, len(payload.Bits)))
 			}
 		case boxedAnswerMsg:
 			p.answered = true
 			ctx.SetOutput(payload.Disjoint)
 			if id > 0 {
-				out = append(out, congest.NewMessage(id-1, payload, congest.BitsForBool))
+				out = append(out, congest.NewMessage(ctx, id-1, payload, congest.BitsForBool))
 			}
 		}
 	}
@@ -59,7 +60,7 @@ func (p *boxedPathNode) Round(ctx *congest.Context, round int, inbox []congest.M
 		}
 		chunk := p.x[p.sent:hi]
 		p.sent = hi
-		out = append(out, congest.NewMessage(1, chunkMsg{Bits: chunk}, len(chunk)))
+		out = append(out, congest.NewMessage(ctx, 1, chunkMsg{Bits: chunk}, len(chunk)))
 	}
 
 	if id == last && !p.answered && len(p.received) >= len(p.y) && len(p.y) > 0 {
@@ -72,15 +73,16 @@ func (p *boxedPathNode) Round(ctx *congest.Context, round int, inbox []congest.M
 		}
 		p.answered = true
 		ctx.SetOutput(disjoint)
-		out = append(out, congest.NewMessage(id-1, boxedAnswerMsg{Disjoint: disjoint}, congest.BitsForBool))
+		out = append(out, congest.NewMessage(ctx, id-1, boxedAnswerMsg{Disjoint: disjoint}, congest.BitsForBool))
 	}
 
 	return out, p.answered
 }
 
 // traceEv is the accounting-visible view of one traced message. The payload
-// representation intentionally differs between the two programs, so Kind,
-// the words and Payload are excluded from the comparison.
+// representation intentionally differs between the two programs, so Kind
+// and the words (a boxed message's handle and owner) are excluded from the
+// comparison.
 type traceEv struct {
 	Round, From, To, Bits int
 	Quantum               bool
@@ -101,7 +103,7 @@ func runPathTraced(t *testing.T, nodes, bandwidth int, x, y []int, factory conge
 		MaxRounds: chunks + 2*nodes + 16,
 		Workers:   workers,
 		Trace: func(round int, m congest.Message) {
-			evs = append(evs, traceEv{round, m.From, m.To, m.Bits, m.Quantum})
+			evs = append(evs, traceEv{round, int(m.From), int(m.To), int(m.Bits), m.Quantum})
 		},
 	})
 	if err != nil {

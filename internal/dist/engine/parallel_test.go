@@ -26,7 +26,7 @@ func (g *gossipNode) Init(ctx *congest.Context) {
 
 func (g *gossipNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
 	for _, m := range inbox {
-		if v, ok := m.Payload.(int); ok && v > g.best {
+		if v, ok := ctx.Payload(m).(int); ok && v > g.best {
 			g.best = v
 		}
 	}

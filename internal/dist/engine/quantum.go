@@ -84,7 +84,7 @@ func (q *Quantum) SetObserver(obs StageObserver) { q.obs = obs }
 // to Local for the same topology, bandwidth and seed); its cost is folded
 // into the quantum-accounted Stats via the Grover substitution.
 func (q *Quantum) RunStage(factory congest.NodeFactory, inputs map[int]any, maxRounds int) (*congest.Result, error) {
-	type directed struct{ from, to int }
+	type directed struct{ from, to int32 }
 	edgeBits := make(map[directed]int64)
 	trace := func(round int, msg congest.Message) {
 		edgeBits[directed{from: msg.From, to: msg.To}] += int64(msg.Bits)

@@ -25,7 +25,7 @@ func (s *streamNode) Round(ctx *congest.Context, round int, inbox []congest.Mess
 	var out []congest.Message
 	for _, m := range inbox {
 		if id != last {
-			out = append(out, congest.NewMessage(id+1, m.Payload, m.Bits))
+			out = append(out, congest.NewMessage(ctx, id+1, ctx.Payload(m), int(m.Bits)))
 		}
 	}
 	if id == 0 && s.sent < s.total {
@@ -34,7 +34,7 @@ func (s *streamNode) Round(ctx *congest.Context, round int, inbox []congest.Mess
 			chunk = s.total - s.sent
 		}
 		s.sent += chunk
-		out = append(out, congest.NewMessage(1, "chunk", chunk))
+		out = append(out, congest.NewMessage(ctx, 1, "chunk", chunk))
 	}
 	if len(out) > 0 {
 		s.idle = 0

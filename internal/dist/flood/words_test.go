@@ -11,9 +11,9 @@ import (
 
 // The word-encoding equivalence pin: the migrated node program must produce
 // a Result bit-for-bit identical to the pre-refactor boxed implementation —
-// same rounds, bits, outputs and trace stream — on sequential and parallel
-// merges alike. boxedDistMsg/boxedNode below are the pre-refactor program,
-// kept verbatim.
+// same rounds, bits, outputs and trace stream — at every worker count.
+// boxedDistMsg/boxedNode below are the pre-refactor program, changed only
+// to the ctx-first boxed constructors and ctx.Payload.
 
 type boxedDistMsg struct{ Dist int }
 
@@ -35,7 +35,7 @@ func (f *boxedNode) Init(ctx *congest.Context) {
 func (f *boxedNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
 	if f.dist == -1 {
 		for i := range inbox {
-			if m, ok := inbox[i].Payload.(boxedDistMsg); ok {
+			if m, ok := ctx.Payload(inbox[i]).(boxedDistMsg); ok {
 				f.dist = m.Dist + 1
 				break
 			}
@@ -76,7 +76,7 @@ func runTraced(t *testing.T, topo congest.Topology, factory congest.NodeFactory,
 		MaxRounds: topo.N() + 2,
 		Workers:   workers,
 		Trace: func(round int, m congest.Message) {
-			evs = append(evs, traceEv{round, m.From, m.To, m.Bits, m.Quantum})
+			evs = append(evs, traceEv{round, int(m.From), int(m.To), int(m.Bits), m.Quantum})
 		},
 	})
 	if err != nil {

@@ -362,8 +362,8 @@ func (m *moeNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 		case kindNbr:
 			p := nbrMsg{Label: msg.Int0(), Dist: msg.Int1()}
 			if p.Label != m.st.Label {
-				if w, ok := ctx.EdgeWeight(msg.From); ok {
-					u, v := ctx.ID(), msg.From
+				if w, ok := ctx.EdgeWeight(int(msg.From)); ok {
+					u, v := ctx.ID(), int(msg.From)
 					if u > v {
 						u, v = v, u
 					}
@@ -372,10 +372,10 @@ func (m *moeNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 						m.best = cand
 					}
 				}
-			} else if isTreeNbr(m.st.TreeNbrs, msg.From) {
+			} else if isTreeNbr(m.st.TreeNbrs, int(msg.From)) {
 				switch p.Dist {
 				case m.st.Dist - 1:
-					m.parent = msg.From
+					m.parent = int(msg.From)
 				case m.st.Dist + 1:
 					m.children++
 				}

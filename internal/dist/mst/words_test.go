@@ -11,10 +11,11 @@ import (
 
 // Word-encoding equivalence pins for both mst stages: the migrated node
 // programs must produce Results bit-for-bit identical to the pre-refactor
-// boxed implementations — same rounds, bits, outputs and trace stream — on
-// sequential and parallel merges alike. The boxed* nodes below are the
-// pre-refactor programs, kept verbatim; fragMsg/nbrMsg/candMsg still exist
-// as in-memory structs and double here as the boxed payloads they once were.
+// boxed implementations — same rounds, bits, outputs and trace stream — at
+// every worker count. The boxed* nodes below are the pre-refactor programs,
+// changed only to the ctx-first boxed constructors and ctx.Payload and to
+// int32 message fields; fragMsg/nbrMsg/candMsg still exist as in-memory
+// structs and double here as the boxed payloads they once were.
 
 type boxedFragNode struct {
 	treeNbrs []int
@@ -33,7 +34,7 @@ func (f *boxedFragNode) Init(ctx *congest.Context) {
 
 func (f *boxedFragNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
 	for _, m := range inbox {
-		if p, ok := m.Payload.(fragMsg); ok {
+		if p, ok := ctx.Payload(m).(fragMsg); ok {
 			if p.Label < f.label || (p.Label == f.label && p.Dist+1 < f.dist) {
 				f.label = p.Label
 				f.dist = p.Dist + 1
@@ -48,7 +49,7 @@ func (f *boxedFragNode) Round(ctx *congest.Context, round int, inbox []congest.M
 	if cur := (fragMsg{Label: f.label, Dist: f.dist}); cur != f.sent {
 		f.sent = cur
 		bits := tagBits + congest.BitsForID(n) + congest.BitsForInt(f.dist)
-		return congest.Broadcast(f.treeNbrs, cur, bits), false
+		return congest.Broadcast(ctx, f.treeNbrs, cur, bits), false
 	}
 	return nil, false
 }
@@ -83,11 +84,11 @@ func (m *boxedMoeNode) Round(ctx *congest.Context, round int, inbox []congest.Me
 	}
 
 	for _, msg := range inbox {
-		switch p := msg.Payload.(type) {
+		switch p := ctx.Payload(msg).(type) {
 		case nbrMsg:
 			if p.Label != m.st.Label {
-				if w, ok := ctx.EdgeWeight(msg.From); ok {
-					u, v := ctx.ID(), msg.From
+				if w, ok := ctx.EdgeWeight(int(msg.From)); ok {
+					u, v := ctx.ID(), int(msg.From)
 					if u > v {
 						u, v = v, u
 					}
@@ -96,10 +97,10 @@ func (m *boxedMoeNode) Round(ctx *congest.Context, round int, inbox []congest.Me
 						m.best = cand
 					}
 				}
-			} else if isTreeNbr(m.st.TreeNbrs, msg.From) {
+			} else if isTreeNbr(m.st.TreeNbrs, int(msg.From)) {
 				switch p.Dist {
 				case m.st.Dist - 1:
-					m.parent = msg.From
+					m.parent = int(msg.From)
 				case m.st.Dist + 1:
 					m.children++
 				}
@@ -122,15 +123,16 @@ func (m *boxedMoeNode) Round(ctx *congest.Context, round int, inbox []congest.Me
 		if m.st.Label == ctx.ID() {
 			ctx.SetOutput(moeOutput{Has: m.best.Has, U: m.best.U, V: m.best.V})
 		} else {
-			out = append(out, congest.NewMessage(m.parent, m.best, m.candBits(n, m.best)))
+			out = append(out, congest.NewMessage(ctx, m.parent, m.best, m.candBits(n, m.best)))
 		}
 	}
 	return out, m.finished
 }
 
 // traceEv is the accounting-visible view of one traced message. The payload
-// representation intentionally differs between the two programs, so Kind,
-// the words and Payload are excluded from the comparison.
+// representation intentionally differs between the two programs, so Kind
+// and the words (a boxed message's handle and owner) are excluded from the
+// comparison.
 type traceEv struct {
 	Round, From, To, Bits int
 	Quantum               bool
@@ -151,7 +153,7 @@ func runStageTraced(t *testing.T, topo congest.Topology, inputs map[int]any, fac
 		MaxRounds: topo.N() + 8,
 		Workers:   workers,
 		Trace: func(round int, m congest.Message) {
-			evs = append(evs, traceEv{round, m.From, m.To, m.Bits, m.Quantum})
+			evs = append(evs, traceEv{round, int(m.From), int(m.To), int(m.Bits), m.Quantum})
 		},
 	})
 	if err != nil {

@@ -125,12 +125,12 @@ func (a *aggNode) Round(ctx *congest.Context, round int, inbox []congest.Message
 		m := &inbox[i]
 		switch m.Kind {
 		case kindToken:
-			tokenSenders = append(tokenSenders, m.From)
+			tokenSenders = append(tokenSenders, int(m.From))
 			tokenDist = m.Int0()
 		case kindChild:
-			delete(a.pending, m.From)
+			delete(a.pending, int(m.From))
 			if m.Bool0() {
-				a.children = append(a.children, m.From)
+				a.children = append(a.children, int(m.From))
 			}
 		case kindUp:
 			a.acc = combine(a.acc, decodeAgg(m.W0, m.W1))

@@ -12,8 +12,9 @@ import (
 // Word-encoding equivalence pins for all three verify stages: the migrated
 // node programs must produce Results bit-for-bit identical to the
 // pre-refactor boxed implementations — same rounds, bits, outputs and trace
-// stream — on sequential and parallel merges alike. The boxed* types below
-// are the pre-refactor programs, kept verbatim.
+// stream — at every worker count. The boxed* types below are the
+// pre-refactor programs, changed only to the ctx-first boxed constructors
+// and ctx.Payload and to int32 message fields.
 
 type (
 	boxedDistMsg  struct{ D int }
@@ -39,7 +40,7 @@ func (l *boxedLabelNode) Init(ctx *congest.Context) {
 
 func (l *boxedLabelNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
 	for _, m := range inbox {
-		if v, ok := m.Payload.(int); ok && v < l.label {
+		if v, ok := ctx.Payload(m).(int); ok && v < l.label {
 			l.label = v
 		}
 	}
@@ -51,7 +52,7 @@ func (l *boxedLabelNode) Round(ctx *congest.Context, round int, inbox []congest.
 	if l.label != l.lastSent {
 		l.lastSent = l.label
 		bits := tagBits + congest.BitsForID(n)
-		return congest.Broadcast(l.mNbrs, l.label, bits), false
+		return congest.Broadcast(ctx, l.mNbrs, l.label, bits), false
 	}
 	return nil, false
 }
@@ -83,7 +84,7 @@ func (c *boxedColorNode) color() int {
 func (c *boxedColorNode) Round(ctx *congest.Context, round int, inbox []congest.Message) ([]congest.Message, bool) {
 	n := ctx.N()
 	for _, m := range inbox {
-		switch p := m.Payload.(type) {
+		switch p := ctx.Payload(m).(type) {
 		case boxedDistMsg:
 			if cand := p.D + 1; c.dist == -1 || cand < c.dist {
 				c.dist = cand
@@ -99,12 +100,12 @@ func (c *boxedColorNode) Round(ctx *congest.Context, round int, inbox []congest.
 		if c.dist != -1 && c.dist != c.lastSent {
 			c.lastSent = c.dist
 			bits := tagBits + congest.BitsForInt(c.dist)
-			return congest.Broadcast(c.mNbrs, boxedDistMsg{D: c.dist}, bits), false
+			return congest.Broadcast(ctx, c.mNbrs, boxedDistMsg{D: c.dist}, bits), false
 		}
 		return nil, false
 	case round == n+1:
 		bits := tagBits + congest.BitsForBool
-		return congest.Broadcast(c.mNbrs, boxedColorMsg{C: c.color()}, bits), false
+		return congest.Broadcast(ctx, c.mNbrs, boxedColorMsg{C: c.color()}, bits), false
 	default:
 		ctx.SetOutput(c.conflict)
 		return nil, true
@@ -144,21 +145,21 @@ func (a *boxedAggNode) Round(ctx *congest.Context, round int, inbox []congest.Me
 		a.pending = make(map[int]struct{})
 		ctx.ForEachNeighbor(func(v int) {
 			a.pending[v] = struct{}{}
-			out = append(out, congest.NewMessage(v, boxedTokenMsg{Dist: 1}, tokenBits(1)))
+			out = append(out, congest.NewMessage(ctx, v, boxedTokenMsg{Dist: 1}, tokenBits(1)))
 		})
 	}
 
 	var tokenSenders []int
 	tokenDist := -1
 	for _, m := range inbox {
-		switch p := m.Payload.(type) {
+		switch p := ctx.Payload(m).(type) {
 		case boxedTokenMsg:
-			tokenSenders = append(tokenSenders, m.From)
+			tokenSenders = append(tokenSenders, int(m.From))
 			tokenDist = p.Dist
 		case boxedChildMsg:
-			delete(a.pending, m.From)
+			delete(a.pending, int(m.From))
 			if p.IsChild {
-				a.children = append(a.children, m.From)
+				a.children = append(a.children, int(m.From))
 			}
 		case boxedUpMsg:
 			a.acc = combine(a.acc, p.Agg)
@@ -181,7 +182,7 @@ func (a *boxedAggNode) Round(ctx *congest.Context, round int, inbox []congest.Me
 			sender := make(map[int]struct{}, len(tokenSenders))
 			for _, s := range tokenSenders {
 				sender[s] = struct{}{}
-				out = append(out, congest.NewMessage(s, boxedChildMsg{IsChild: s == a.parent}, childBits))
+				out = append(out, congest.NewMessage(ctx, s, boxedChildMsg{IsChild: s == a.parent}, childBits))
 			}
 			a.pending = make(map[int]struct{})
 			ctx.ForEachNeighbor(func(v int) {
@@ -189,11 +190,11 @@ func (a *boxedAggNode) Round(ctx *congest.Context, round int, inbox []congest.Me
 					return
 				}
 				a.pending[v] = struct{}{}
-				out = append(out, congest.NewMessage(v, boxedTokenMsg{Dist: a.dist + 1}, tokenBits(a.dist+1)))
+				out = append(out, congest.NewMessage(ctx, v, boxedTokenMsg{Dist: a.dist + 1}, tokenBits(a.dist+1)))
 			})
 		} else {
 			for _, s := range tokenSenders {
-				out = append(out, congest.NewMessage(s, boxedChildMsg{IsChild: false}, childBits))
+				out = append(out, congest.NewMessage(ctx, s, boxedChildMsg{IsChild: false}, childBits))
 			}
 		}
 	}
@@ -204,14 +205,14 @@ func (a *boxedAggNode) Round(ctx *congest.Context, round int, inbox []congest.Me
 			a.answer = a.decide(a.acc)
 			a.haveAnswer = true
 		} else {
-			out = append(out, congest.NewMessage(a.parent, boxedUpMsg{Agg: a.acc}, upBits(a.acc)))
+			out = append(out, congest.NewMessage(ctx, a.parent, boxedUpMsg{Agg: a.acc}, upBits(a.acc)))
 		}
 	}
 
 	if a.haveAnswer && !a.answered {
 		a.answered = true
 		for _, c := range a.children {
-			out = append(out, congest.NewMessage(c, boxedDownMsg{Answer: a.answer}, downBits))
+			out = append(out, congest.NewMessage(ctx, c, boxedDownMsg{Answer: a.answer}, downBits))
 		}
 		ctx.SetOutput(a.answer)
 	}
@@ -220,8 +221,9 @@ func (a *boxedAggNode) Round(ctx *congest.Context, round int, inbox []congest.Me
 }
 
 // traceEv is the accounting-visible view of one traced message. The payload
-// representation intentionally differs between the two programs, so Kind,
-// the words and Payload are excluded from the comparison.
+// representation intentionally differs between the two programs, so Kind
+// and the words (a boxed message's handle and owner) are excluded from the
+// comparison.
 type traceEv struct {
 	Round, From, To, Bits int
 	Quantum               bool
@@ -242,7 +244,7 @@ func runStageTraced(t *testing.T, topo congest.Topology, inputs map[int]any, fac
 		MaxRounds: maxRounds,
 		Workers:   workers,
 		Trace: func(round int, m congest.Message) {
-			evs = append(evs, traceEv{round, m.From, m.To, m.Bits, m.Quantum})
+			evs = append(evs, traceEv{round, int(m.From), int(m.To), int(m.Bits), m.Quantum})
 		},
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -69,6 +70,11 @@ func (m Matrix) Validate() error {
 		}
 		if t.Param < 0 || t.MaxWeight < 0 {
 			return fmt.Errorf("matrix %q: topology %s has a negative knob", m.Name, t)
+		}
+		// Node IDs travel in int32 message fields. The lower-bound path
+		// length is checked first, so Nodes never rounds an absurd one.
+		if t.Size > math.MaxInt32 || (t.Family == FamilyLBNet && t.Param > math.MaxInt32) || t.Nodes() > math.MaxInt32 {
+			return fmt.Errorf("matrix %q: topology %s exceeds the simulator's 2^31-1 node IDs", m.Name, t)
 		}
 		key := t.String()
 		if seenTopo[key] {

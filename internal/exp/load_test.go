@@ -101,6 +101,15 @@ func TestLoadMatrixErrors(t *testing.T) {
 			// simulation backend has zero runnable cells.
 			return strings.Replace(s, `["local"]`, `["simulation"]`, 1)
 		}, "zero scenarios"},
+		{"oversized topology", func(s string) string {
+			return strings.Replace(s, `"size": 9`, `"size": 3000000000`, 1)
+		}, "2^31-1 node IDs"},
+		{"oversized lower-bound path", func(s string) string {
+			// Sizing exact MST on it used to round the path length up
+			// forever.
+			s = strings.Replace(s, `{"family": "path", "size": 9}`, `{"family": "lbnet", "size": 6, "param": 5e18}`, 1)
+			return strings.Replace(s, `["verify"]`, `["mst"]`, 1)
+		}, "2^31-1 node IDs"},
 		{"not JSON", func(string) string { return "topologies: [path]\n" }, "invalid character"},
 		{"trailing data", func(s string) string { return s + "\n{}" }, "trailing data"},
 	}
@@ -179,4 +188,34 @@ func TestSaveMatrixRoundTrip(t *testing.T) {
 	if err := SaveMatrix(filepath.Join(t.TempDir(), "bad.json"), Matrix{Name: "empty"}); err == nil {
 		t.Error("SaveMatrix must refuse an invalid matrix")
 	}
+}
+
+// FuzzLoadMatrix feeds LoadMatrix arbitrary bytes: it must return a matrix
+// or an error, never panic or hang, and a matrix it accepts must survive
+// SaveMatrix and a second LoadMatrix unchanged. The seed corpus lives in
+// testdata/fuzz/FuzzLoadMatrix and runs in every test pass.
+func FuzzLoadMatrix(f *testing.F) {
+	f.Add([]byte(validMatrixJSON))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "m.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := LoadMatrix(path)
+		if err != nil {
+			return
+		}
+		saved := filepath.Join(dir, "saved.json")
+		if err := SaveMatrix(saved, m); err != nil {
+			t.Fatalf("SaveMatrix rejected a loaded matrix: %v", err)
+		}
+		again, err := LoadMatrix(saved)
+		if err != nil {
+			t.Fatalf("LoadMatrix rejected its own saved matrix: %v", err)
+		}
+		if !reflect.DeepEqual(again, m) {
+			t.Fatalf("round trip changed the matrix:\nloaded %+v\nagain  %+v", m, again)
+		}
+	})
 }

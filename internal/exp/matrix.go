@@ -86,11 +86,7 @@ func lbSizeUpperBound(t TopologySpec) int {
 	if t.Family != FamilyLBNet {
 		return t.Size
 	}
-	pathLen := int(t.Param)
-	if pathLen <= 0 {
-		pathLen = 17
-	}
-	l, k := lbnetwork.RoundedDims(pathLen)
+	l, k := lbnetwork.RoundedDims(t.lbPathLen())
 	return t.Size * (2*l + k)
 }
 

@@ -108,7 +108,7 @@ func (st *Status) ScenarioDone(rec Record) {
 	if rec.Failed() {
 		st.Failed.Inc()
 	}
-	st.NodeRounds.Add(int64(rec.Stats.Rounds) * int64(rec.Scenario.Topology.Size))
+	st.NodeRounds.Add(int64(rec.Stats.Rounds) * int64(rec.Scenario.Topology.Nodes()))
 }
 
 // ScenarioUncounted removes a previously counted record from the live
@@ -124,7 +124,7 @@ func (st *Status) ScenarioUncounted(rec Record) {
 	if rec.Failed() {
 		st.Failed.Add(-1)
 	}
-	st.NodeRounds.Add(-int64(rec.Stats.Rounds) * int64(rec.Scenario.Topology.Size))
+	st.NodeRounds.Add(-int64(rec.Stats.Rounds) * int64(rec.Scenario.Topology.Nodes()))
 }
 
 // NodeRoundsPerSec returns the sweep-wide simulation throughput so far.

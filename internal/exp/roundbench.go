@@ -33,12 +33,13 @@ func FoldRecords(base, updates []Record) []Record {
 }
 
 // NodeRoundsPerSec returns the record's simulation throughput in
-// node-rounds per second, or 0 when the record carries no wall time (e.g.
-// after canonicalisation zeroed it). It is display-only: wall time is
-// host-dependent and never part of a snapshot's identity.
+// node-rounds per second — the realised vertex count (TopologySpec.Nodes)
+// times the rounds, over the wall time — or 0 when the record carries no
+// wall time (e.g. after canonicalisation zeroed it). It is display-only:
+// wall time is host-dependent and never part of a snapshot's identity.
 func NodeRoundsPerSec(r Record) float64 {
 	if r.WallMillis <= 0 {
 		return 0
 	}
-	return float64(r.Stats.Rounds) * float64(r.Scenario.Topology.Size) / (r.WallMillis / 1000)
+	return float64(r.Stats.Rounds) * float64(r.Scenario.Topology.Nodes()) / (r.WallMillis / 1000)
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -88,6 +89,55 @@ func TestRoundbenchMatrixRuns(t *testing.T) {
 	rec.WallMillis = 0
 	if nps := NodeRoundsPerSec(rec); nps != 0 {
 		t.Errorf("NodeRoundsPerSec = %g on a canonicalised record, want 0", nps)
+	}
+}
+
+// TestTopologySpecNodes pins TopologySpec.Nodes, the realised vertex count
+// the throughput figures divide by, against the vertex count Build
+// actually produces — including the families whose nominal Size is not
+// their vertex count: the grid (rounded down to a square) and the
+// lower-bound network (Size counts paths; lbnet6 has 121 vertices and
+// lbnet10 at L=33 has 366).
+func TestTopologySpecNodes(t *testing.T) {
+	specs := []TopologySpec{
+		{Family: FamilyPath, Size: 9},
+		{Family: FamilyCycle, Size: 12},
+		{Family: FamilyStar, Size: 7},
+		{Family: FamilyComplete, Size: 6},
+		{Family: FamilyRandom, Size: 20, Param: 0.3},
+		{Family: FamilyTree, Size: 15},
+		{Family: FamilyGrid, Size: 16},
+		{Family: FamilyGrid, Size: 50},
+		{Family: FamilyLBNet, Size: 6},
+		{Family: FamilyLBNet, Size: 10, Param: 33},
+		{Family: FamilyLBNet, Size: 2, Param: 3},
+		{Family: FamilyLBNet, Size: 4, Param: 18},
+	}
+	for _, spec := range specs {
+		built, err := spec.Build(rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if got, want := spec.Nodes(), built.Graph.N(); got != want {
+			t.Errorf("%s: Nodes() = %d, Build realises %d vertices", spec, got, want)
+		}
+	}
+	for _, c := range []struct {
+		spec TopologySpec
+		want int
+	}{
+		{TopologySpec{Family: FamilyLBNet, Size: 6}, 121},
+		{TopologySpec{Family: FamilyLBNet, Size: 10, Param: 33}, 366},
+	} {
+		if got := c.spec.Nodes(); got != c.want {
+			t.Errorf("%s: Nodes() = %d, want %d", c.spec, got, c.want)
+		}
+	}
+	// NodeRoundsPerSec counts the realised vertices: 121 × 10 rounds in 1 s.
+	rec := Record{Scenario: Scenario{Topology: TopologySpec{Family: FamilyLBNet, Size: 6}}, WallMillis: 1000}
+	rec.Stats.Rounds = 10
+	if got := NodeRoundsPerSec(rec); got != 1210 {
+		t.Errorf("NodeRoundsPerSec on lbnet6 = %g, want 1210", got)
 	}
 }
 

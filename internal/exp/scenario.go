@@ -130,6 +130,29 @@ func (t TopologySpec) String() string {
 	return label
 }
 
+// Nodes returns the number of vertices Build realises, computed without
+// building the topology. Size is only nominal: a grid rounds it down to a
+// square, and for the lower-bound network it counts paths, not vertices.
+func (t TopologySpec) Nodes() int {
+	switch t.Family {
+	case FamilyGrid:
+		side := int(math.Sqrt(float64(t.Size)))
+		return side * side
+	case FamilyLBNet:
+		return lbnetwork.VertexCount(t.Size, t.lbPathLen())
+	}
+	return t.Size
+}
+
+// lbPathLen is the lower-bound network's requested path length L: Param,
+// or the family default of 17.
+func (t TopologySpec) lbPathLen() int {
+	if t.Param <= 0 {
+		return 17
+	}
+	return int(t.Param)
+}
+
 // Scenario is one fully specified experiment run. Scenarios are plain data:
 // expanding a Matrix yields them, RunScenario executes them, and Records
 // embed them so a results file is self-describing.
@@ -216,11 +239,7 @@ func (t TopologySpec) Build(rng *rand.Rand) (*builtTopology, error) {
 	case FamilyTree:
 		g = graph.RandomSpanningTree(t.Size, rng)
 	case FamilyLBNet:
-		pathLen := int(t.Param)
-		if pathLen <= 0 {
-			pathLen = 17
-		}
-		lb, lbErr := lbnetwork.New(t.Size, pathLen)
+		lb, lbErr := lbnetwork.New(t.Size, t.lbPathLen())
 		if lbErr != nil {
 			return nil, fmt.Errorf("exp: %v", lbErr)
 		}

@@ -70,6 +70,19 @@ func RoundedDims(pathLen int) (l, k int) {
 	return l, int(math.Round(math.Log2(float64(l - 1))))
 }
 
+// VertexCount returns the number of vertices New(gamma, pathLen) realises,
+// without building the network: gamma paths of L vertices each, plus
+// highway h with a vertex at every multiple of 2^h up to L−1, that is
+// (L−1)/2^h + 1 vertices, for h = 1..K.
+func VertexCount(gamma, pathLen int) int {
+	l, k := RoundedDims(pathLen)
+	n := gamma * l
+	for h := 1; h <= k; h++ {
+		n += (l-1)>>h + 1
+	}
+	return n
+}
+
 // New builds the network with gamma paths of pathLen vertices each (pathLen
 // is rounded up so that pathLen−1 is a power of two, as in Appendix D.1).
 func New(gamma, pathLen int) (*Network, error) {

@@ -82,8 +82,8 @@ func (r *Runner) RunStage(factory congest.NodeFactory, inputs map[int]any, maxRo
 		if consTime > budget {
 			consTime = budget
 		}
-		producer := r.net.OwnerAt(msg.From, prodTime)
-		consumer := r.net.OwnerAt(msg.To, consTime)
+		producer := r.net.OwnerAt(int(msg.From), prodTime)
+		consumer := r.net.OwnerAt(int(msg.To), consTime)
 		if producer == consumer {
 			return
 		}
